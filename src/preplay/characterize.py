@@ -119,6 +119,22 @@ def diff_tensor(source: Game, target: Game) -> DiffTensor:
     return DiffTensor(space, values)
 
 
+def _star_readout(diff: DiffTensor) -> list[list[list[Fraction]]]:
+    """``star[j][k][v]``: player j's difference at the all-first profile
+    (0,…,0) with axis k set to v.
+
+    That profile's coordinate star along axis k sits at flat index
+    ``v * stride_k``.  A reachable tensor is determined by these values.
+    """
+    shape = diff.shape
+    values = diff.values
+    axes = list(zip(shape.strides, shape.strategy_counts))
+    return [
+        [[values[v * stride][j] for v in range(count)] for stride, count in axes]
+        for j in range(shape.player_count)
+    ]
+
+
 def check_equivalence(source: Game, target: Game) -> EquivalenceVerdict:
     """Decide whether some offer set transforms ``source`` into ``target``.
 
@@ -139,17 +155,15 @@ def check_equivalence(source: Game, target: Game) -> EquivalenceVerdict:
     counts = shape.strategy_counts
     strides = shape.strides
     n = len(counts)
+    star = _star_readout(diff)
     for j in range(n):
         for k in range(n):
             stride, count = strides[k], counts[k]
             if count == 1:
                 continue
-            # reference steps taken at the profile whose other coordinates
-            # are all 0; its flat index along axis k is just v * stride
-            ref = [
-                values[(v + 1) * stride][j] - values[v * stride][j]
-                for v in range(count - 1)
-            ]
+            # reference steps taken along the star of (0,…,0)
+            axis = star[j][k]
+            ref = [b - a for a, b in zip(axis, axis[1:])]
             for flat, p in enumerate(profiles):
                 v = p[k]
                 if v == count - 1:

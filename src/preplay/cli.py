@@ -63,6 +63,10 @@ def _load_json(data: Union[str, bytes], source: str):
         return json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(source, f"line {exc.lineno} column {exc.colno}", exc.msg) from None
+    except (ValueError, RecursionError) as exc:
+        # an integer past the int-to-str digit limit, or nesting past the
+        # recursion limit
+        raise ParseError(source, "document", str(exc)) from None
 
 
 def _expect_object(node, source: str, location: str) -> dict:

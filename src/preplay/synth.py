@@ -2,16 +2,19 @@
 
 Three constructions:
 
-* ``synthesize_offers`` — given a reachable target, solve for net pairwise
-  offers that realize it.  The unknowns are one net amount per (payer,
-  payee, payee-strategy) triple; player j's payoff difference at profile p
-  must equal (incoming offers contingent on j's own choice) minus (outgoing
-  offers contingent on the payees' choices):
+* ``synthesize_offers`` — given a reachable target, read off net pairwise
+  offers that realize it.  There is one net amount per (payer, payee,
+  payee-strategy) triple; player j's payoff difference at profile p equals
+  (incoming offers contingent on j's own choice) minus (outgoing offers
+  contingent on the payees' choices):
 
       c_j(p) = sum_k e[k, j, p_j] - sum_k e[j, k, p_k]
 
-  The system is underdetermined; exact Gauss-Jordan elimination solves it
-  and every free variable is pinned to zero, giving a canonical result.
+  The amounts are fixed up to adding one constant to each (payer, payee)
+  block, where the constants make every player receive as much as it pays
+  (a circulation).  Pinning the amount on the payee's last strategy to zero
+  in every block whose payee is not the first player leaves one canonical
+  solution, read directly off the coordinate star of (0,…,0).
 
 * ``nonnegative_decomposition`` — rewrite any offer set as one with only
   nonnegative amounts inducing the same transformation (a negative offer is
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .characterize import check_equivalence, diff_tensor
-from .core import Game, Profile, RationalLike, as_rational
+from .characterize import _star_readout, check_equivalence, diff_tensor
+from .core import Game, RationalLike, as_rational
 from .errors import (
     ArityMismatch,
     IndexOutOfRange,
@@ -59,46 +62,6 @@ class SynthesisResult:
     pinned_variables: tuple[tuple[str, Fraction], ...]
 
 
-def _solve_pinning_free(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> tuple[list[Fraction], list[int]]:
-    """Exact Gauss-Jordan over the rationals.
-
-    Returns one solution (every non-pivot column set to zero) together with
-    the list of free column indices.  Raises if the system is inconsistent.
-    """
-    height = len(rows)
-    width = len(rows[0]) if rows else 0
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(width):
-        pivot = next((i for i in range(r, height) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        lead = aug[r][col]
-        if lead != 1:
-            aug[r] = [x / lead for x in aug[r]]
-        for i in range(height):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == height:
-            break
-    for i in range(r, height):
-        if aug[i][width] != 0:
-            raise RuntimeError("offer system inconsistent despite passing the reachability check")
-    solution = [Fraction(0)] * width
-    for row_index, col in enumerate(pivot_cols):
-        solution[col] = aug[row_index][width]
-    pivot_set = set(pivot_cols)
-    free = [c for c in range(width) if c not in pivot_set]
-    return solution, free
-
-
 def synthesize_offers(source: Game, target: Game) -> SynthesisResult:
     """Find a canonical offer set tau with apply_offer_set(source, tau) == target.
 
@@ -107,65 +70,48 @@ def synthesize_offers(source: Game, target: Game) -> SynthesisResult:
     through ``nonnegative_decomposition`` if payments must be nonnegative.
 
     Once the reachability check passes, the difference tensor is additively
-    separable per player, so it is fully determined by its values on the
-    coordinate star of (1,…,1); the linear system is therefore built over
-    star profiles only, which keeps it tiny.
+    separable per player, so its star at (0,…,0) determines it, and the
+    amounts are read straight off that star.  Stepping axis q changes player
+    p's difference by minus the change in e[p, q, ·], so each block paying a
+    player q ≥ 1 is fixed up to a constant; that constant is pinned by
+    setting the amount on q's last strategy to zero.  The blocks paying the
+    first player then follow from each payer's own difference along axis 0.
     """
     verdict = check_equivalence(source, target)
     if not verdict.equivalent:
         raise NotEquivalent(verdict)
 
     space = source.space
-    shape = space.shape
-    n = shape.player_count
-    diff = diff_tensor(source, target)
+    players, strategies = space.players, space.strategies
+    n = len(players)
+    # star[j][k][v]: player j's difference at (0,…,0) with axis k set to v
+    star = _star_readout(diff_tensor(source, target))
 
-    # unknown net offers e[payer, payee, payee-strategy], payee-major order:
-    # the 2-person column order is then [all of B's offers to A, all of A's
-    # offers to B] and left-to-right elimination leaves A's offer on B's
-    # last strategy free, i.e. pinned to zero.
-    columns: list[tuple[int, int, int]] = [
-        (payer, payee, action)
-        for payee in range(n)
-        for payer in range(n)
-        if payer != payee
-        for action in range(shape.strategy_counts[payee])
-    ]
-    index_of = {var: i for i, var in enumerate(columns)}
-
-    base = (0,) * n
-    star = list(shape.star(base))
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    zero = Fraction(0)
-    for j in range(n):
-        for p in star:
-            row = [zero] * len(columns)
-            for k in range(n):
-                if k == j:
-                    continue
-                row[index_of[(k, j, p[j])]] += 1
-                row[index_of[(j, k, p[k])]] -= 1
-            rows.append(row)
-            rhs.append(diff.value(p, j))
-
-    solution, free = _solve_pinning_free(rows, rhs)
-
-    def var_id(var: tuple[int, int, int]) -> str:
-        payer, payee, action = var
-        return f"{space.players[payer]}->{space.players[payee]}/{space.strategies[payee][action]}"
+    # e[payer, payee][t]: net amount offered on the payee's strategy t
+    e: dict[tuple[int, int], list[Fraction]] = {}
+    for q in range(1, n):
+        for p in range(n):
+            if p != q:
+                axis = star[p][q]
+                e[p, q] = [axis[-1] - c for c in axis]
+    for p in range(1, n):
+        # at (0,…,0) with axis 0 set to t, player p receives every
+        # e[k, p, 0] and pays e[p, 0, t] plus every other e[p, k, 0]
+        received = sum(e[k, p][0] for k in range(n) if k != p)
+        paid = sum(e[p, k][0] for k in range(1, n) if k != p)
+        e[p, 0] = [received - paid - c for c in star[p][0]]
 
     offers = tuple(
-        Offer(
-            space.players[payer],
-            space.players[payee],
-            space.strategies[payee][action],
-            amount,
-        )
-        for (payer, payee, action), amount in zip(columns, solution)
-        if amount != 0
+        Offer(players[p], players[q], strategies[q][t], amount)
+        for (p, q), amounts in e.items()
+        for t, amount in enumerate(amounts)
     )
-    pinned = tuple((var_id(columns[c]), Fraction(0)) for c in free)
+    pinned = tuple(
+        (f"{players[p]}->{players[q]}/{strategies[q][-1]}", Fraction(0))
+        for q in range(1, n)
+        for p in range(n)
+        if p != q
+    )
     return SynthesisResult(canonicalize(OfferSet(space, offers)), pinned)
 
 

@@ -303,10 +303,20 @@ def test_missing_file_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_malformed_json_exits_2(files, capsys):
-    assert run(["analyze", files("broken.json", "{nope")]) == 2
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("{nope", "line 1"),
+        ('{"schema": ' + "7" * 5000 + "}", "document"),
+        ("[" * 3000 + "]" * 3000, "document"),
+    ],
+    ids=["syntax", "huge-integer", "deep-nesting"],
+)
+def test_malformed_json_exits_2(files, capsys, text, where):
+    assert run(["analyze", files("broken.json", text)]) == 2
     err = capsys.readouterr().err
-    assert "broken.json" in err and "line 1" in err
+    assert "broken.json" in err and where in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_usage_error_exits_2():

@@ -10,8 +10,11 @@ from preplay import (
     NotEquivalent,
     Offer,
     OfferSet,
+    SynthesisResult,
     apply_offer_set,
     canonicalize,
+    check_equivalence,
+    diff_tensor,
     make_profile_dominant,
     nonnegative_decomposition,
     payoff_sum,
@@ -88,6 +91,150 @@ def test_solution_family_shift_still_works(m0, m2):
             amount = net.get((payer, payee, strategy), Fraction(0)) + shift
             shifted.append(Offer(payer, payee, strategy, amount))
     assert apply_offer_set(m0, OfferSet(m0.space, tuple(shifted))) == m2
+
+
+def test_pinned_variables_three_players(cube):
+    target = apply_offer_set(
+        cube,
+        OfferSet(cube.space, (Offer("1", "2", "A_21", 3), Offer("3", "1", "A_12", Fraction(-1, 2)))),
+    )
+    result = synthesize_offers(cube, target)
+    assert apply_offer_set(cube, result.offers) == target
+    assert result.pinned_variables == (
+        ("1->2/A_23", Fraction(0)),
+        ("3->2/A_23", Fraction(0)),
+        ("1->3/A_32", Fraction(0)),
+        ("2->3/A_32", Fraction(0)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# differential check against a general linear solve
+
+
+def _solve_pinning_free(
+    rows: list[list[Fraction]], rhs: list[Fraction]
+) -> tuple[list[Fraction], list[int]]:
+    """Exact Gauss-Jordan over the rationals.
+
+    Returns one solution (every non-pivot column set to zero) together with
+    the list of free column indices.  Raises if the system is inconsistent.
+    """
+    height = len(rows)
+    width = len(rows[0]) if rows else 0
+    aug = [row + [b] for row, b in zip(rows, rhs)]
+    pivot_cols: list[int] = []
+    r = 0
+    for col in range(width):
+        pivot = next((i for i in range(r, height) if aug[i][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        lead = aug[r][col]
+        if lead != 1:
+            aug[r] = [x / lead for x in aug[r]]
+        for i in range(height):
+            if i != r and aug[i][col] != 0:
+                factor = aug[i][col]
+                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
+        pivot_cols.append(col)
+        r += 1
+        if r == height:
+            break
+    for i in range(r, height):
+        if aug[i][width] != 0:
+            raise RuntimeError("offer system inconsistent despite passing the reachability check")
+    solution = [Fraction(0)] * width
+    for row_index, col in enumerate(pivot_cols):
+        solution[col] = aug[row_index][width]
+    pivot_set = set(pivot_cols)
+    free = [c for c in range(width) if c not in pivot_set]
+    return solution, free
+
+
+def gauss_jordan_synthesis(source: Game, target: Game) -> SynthesisResult:
+    """Reference synthesis: solve the star equations
+
+        c_j(p) = sum_k e[k, j, p_j] - sum_k e[j, k, p_k]
+
+    by Gauss-Jordan elimination, pinning every free variable to zero."""
+    verdict = check_equivalence(source, target)
+    if not verdict.equivalent:
+        raise NotEquivalent(verdict)
+
+    space = source.space
+    shape = space.shape
+    n = shape.player_count
+    diff = diff_tensor(source, target)
+
+    # unknown net offers e[payer, payee, payee-strategy], payee-major order:
+    # the 2-person column order is then [all of B's offers to A, all of A's
+    # offers to B] and left-to-right elimination leaves A's offer on B's
+    # last strategy free, i.e. pinned to zero.
+    columns: list[tuple[int, int, int]] = [
+        (payer, payee, action)
+        for payee in range(n)
+        for payer in range(n)
+        if payer != payee
+        for action in range(shape.strategy_counts[payee])
+    ]
+    index_of = {var: i for i, var in enumerate(columns)}
+
+    base = (0,) * n
+    star = list(shape.star(base))
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    zero = Fraction(0)
+    for j in range(n):
+        for p in star:
+            row = [zero] * len(columns)
+            for k in range(n):
+                if k == j:
+                    continue
+                row[index_of[(k, j, p[j])]] += 1
+                row[index_of[(j, k, p[k])]] -= 1
+            rows.append(row)
+            rhs.append(diff.value(p, j))
+
+    solution, free = _solve_pinning_free(rows, rhs)
+
+    def var_id(var: tuple[int, int, int]) -> str:
+        payer, payee, action = var
+        return f"{space.players[payer]}->{space.players[payee]}/{space.strategies[payee][action]}"
+
+    offers = tuple(
+        Offer(
+            space.players[payer],
+            space.players[payee],
+            space.strategies[payee][action],
+            amount,
+        )
+        for (payer, payee, action), amount in zip(columns, solution)
+        if amount != 0
+    )
+    pinned = tuple((var_id(columns[c]), Fraction(0)) for c in free)
+    return SynthesisResult(canonicalize(OfferSet(space, offers)), pinned)
+
+
+def test_synthesis_matches_gauss_jordan_on_corpus(corpus):
+    for game, offers in corpus:
+        target = apply_offer_set(game, offers)
+        assert synthesize_offers(game, target) == gauss_jordan_synthesis(game, target)
+
+
+def test_synthesis_matches_gauss_jordan_up_to_four_players():
+    # single-strategy players and 4 players lie outside the shared corpus;
+    # synthesizing back from the target also covers rational sources
+    rng = random.Random(59)
+    shapes = set()
+    for _ in range(60):
+        game = random_game(rng, max_players=4, min_strats=1)
+        target = apply_offer_set(game, random_offer_set(rng, game.space, max_offers=8))
+        shapes.add(game.shape.strategy_counts)
+        for source, goal in ((game, target), (target, game)):
+            assert synthesize_offers(source, goal) == gauss_jordan_synthesis(source, goal)
+    assert any(len(counts) == 4 for counts in shapes)
+    assert any(1 in counts for counts in shapes)
 
 
 # ---------------------------------------------------------------------------
