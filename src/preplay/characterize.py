@@ -142,7 +142,12 @@ def check_equivalence(source: Game, target: Game) -> EquivalenceVerdict:
     first violation in that order (row-major within each condition), so the
     outcome is deterministic.
     """
-    diff = diff_tensor(source, target)
+    return _check_diff(diff_tensor(source, target))
+
+
+def _check_diff(diff: DiffTensor) -> EquivalenceVerdict:
+    """The verdict of ``check_equivalence`` on an already built difference
+    tensor."""
     shape = diff.shape
     values = diff.values
     profiles = list(shape.profiles())

@@ -375,8 +375,9 @@ def _json_report(game: Game) -> str:
 # commands
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _read_text(path: str) -> bytes:
+    # undecoded, so that _load_json reports bad UTF-8 as a parse error
+    return Path(path).read_bytes()
 
 
 def _read_game(path: str) -> Game:

@@ -2,16 +2,14 @@
 
 Fixing target payoffs on the star of a base profile (the base plus every
 profile differing from it in exactly one coordinate) pins down the entire
-reachable target: the step-difference condition that characterizes
-reachability doubles as a recurrence.  Writing c for the per-player
-difference against the source, every profile p off the star satisfies
+reachable target.  Writing c for the per-player difference against the
+source, a reachable difference is additively separable per player, so for
+the base b every profile p satisfies
 
-    c(p) = c(p with axis k stepped toward base)
-         + c(p with axis l stepped toward base)
-         - c(p with both stepped toward base)
+    c(p) = c(b) + sum over axes k of [c(b with axis k set to p_k) - c(b)]
 
-for any two axes k, l where p differs from the base.  Sweeping profiles in
-an order that fills those three neighbours first extends the seed uniquely.
+and the completion is read straight off the star as an outer sum over the
+axes, built in row-major order.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from typing import Mapping, Sequence
 from .characterize import check_equivalence
 from .core import (
     Game,
-    GameShape,
     PayoffVector,
     Profile,
     RationalLike,
@@ -34,8 +31,6 @@ from .core import (
 from .errors import ArityMismatch, IncompleteSeed, SeedSumViolation
 
 __all__ = ["Seed", "complete_from_seed", "two_person_seed"]
-
-SWEEPS = ("row-major", "diagonal")
 
 
 @dataclass(frozen=True)
@@ -54,39 +49,15 @@ class Seed:
         object.__setattr__(self, "assignments", fixed)
 
 
-def _sweep_order(shape: GameShape, base: Profile, sweep: str) -> list[Profile]:
-    """Profiles ordered so that stepping any coordinate toward the base moves
-    strictly earlier in the order."""
-    if sweep == "row-major":
-        # per axis: base first, then the upper side ascending, then the lower
-        # side descending; lexicographic over those per-axis positions
-        def axis_position(k: int, v: int) -> int:
-            if v >= base[k]:
-                return v - base[k]
-            return (shape.strategy_counts[k] - base[k]) + (base[k] - v)
-
-        key = lambda p: tuple(axis_position(k, v) for k, v in enumerate(p))
-    elif sweep == "diagonal":
-        key = lambda p: (sum(abs(v - b) for v, b in zip(p, base)), p)
-    else:
-        raise ValueError(f"unknown sweep {sweep!r}; expected one of {SWEEPS}")
-    return sorted(shape.profiles(), key=key)
-
-
-def _toward_base(profile: Profile, axis: int, base: Profile) -> Profile:
-    step = -1 if profile[axis] > base[axis] else 1
-    return profile[:axis] + (profile[axis] + step,) + profile[axis + 1 :]
-
-
-def complete_from_seed(source: Game, seed: Seed, *, sweep: str = "row-major") -> Game:
+def complete_from_seed(source: Game, seed: Seed) -> Game:
     """The unique game that agrees with the seed on the star and is
     reachable from ``source`` by offers.
 
     The seed must cover exactly the star of its base profile, and each seed
     vector must have the same payoff total as the source at that profile
     (offers cannot change outcome totals, so no other seed is realizable).
-    Both supported sweep orders produce the same game; ``diagonal`` exists
-    to let tests confirm that.
+    Each profile's difference is the base's difference plus, per axis, the
+    step the star takes from the base to that profile's coordinate.
     """
     space = source.space
     shape = space.shape
@@ -125,18 +96,18 @@ def complete_from_seed(source: Game, seed: Seed, *, sweep: str = "row-major") ->
             )
         diff[p] = tuple(t - s for t, s in zip(vector, source.payoff(p)))
 
-    for p in _sweep_order(shape, base, sweep):
-        if p in diff:
-            continue
-        k, l = [axis for axis in range(n) if p[axis] != base[axis]][:2]
-        a = _toward_base(p, k, base)
-        b = _toward_base(p, l, base)
-        ab = _toward_base(a, l, base)
-        diff[p] = tuple(x + y - z for x, y, z in zip(diff[a], diff[b], diff[ab]))
+    # c(p) = c(b) + sum_k steps_k[p_k], expanded one axis at a time in row-major order
+    origin = diff[base]
+    cells = [origin]
+    for k, count in enumerate(shape.strategy_counts):
+        steps = [
+            tuple(x - o for x, o in zip(diff[base[:k] + (v,) + base[k + 1 :]], origin))
+            for v in range(count)
+        ]
+        cells = [tuple(x + y for x, y in zip(cell, step)) for cell in cells for step in steps]
 
     payoffs = tuple(
-        tuple(s + d for s, d in zip(cell, diff[p]))
-        for cell, p in zip(source.payoffs, shape.profiles())
+        tuple(s + d for s, d in zip(cell, delta)) for cell, delta in zip(source.payoffs, cells)
     )
     completed = Game(source.players, source.strategies, payoffs)
     if not check_equivalence(source, completed).equivalent:

@@ -11,7 +11,9 @@ order.  User-facing messages render indices 1-based.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -35,10 +37,11 @@ PayoffVector = tuple[Fraction, ...]
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or string to an exact Fraction.
 
-    Strings may be integers ("3"), ratios ("3/4"), or decimals ("0.25");
-    decimals are read exactly, not via binary floating point.  Floats are
-    rejected outright — they would silently smuggle rounding error into a
-    model whose whole point is exactness.
+    Strings may be integers ("3"), ratios ("3/4"), or decimals ("0.25"),
+    each with an optional sign and ASCII digits only; decimals are read
+    exactly, not via binary floating point.  Floats are rejected outright —
+    they would silently smuggle rounding error into a model whose whole
+    point is exactness.
     """
     if isinstance(value, Fraction):
         return value
@@ -47,6 +50,10 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction alone also takes exponents ("1e10000000" takes seconds),
+        # "_", surrounding whitespace and non-ASCII digits
+        if not re.fullmatch(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?", value):
+            raise ValueError(f"not a rational value: {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -78,7 +85,7 @@ class GameShape:
     def player_count(self) -> int:
         return len(self.strategy_counts)
 
-    @property
+    @cached_property
     def size(self) -> int:
         """Number of strategy profiles."""
         n = 1
@@ -86,7 +93,7 @@ class GameShape:
             n *= count
         return n
 
-    @property
+    @cached_property
     def strides(self) -> tuple[int, ...]:
         """Row-major strides: flat index = sum(profile[k] * strides[k])."""
         strides = []
@@ -156,7 +163,7 @@ class StrategySpace:
         # shape construction enforces N >= 2 and every count >= 1
         self.shape
 
-    @property
+    @cached_property
     def shape(self) -> GameShape:
         return GameShape(tuple(len(row) for row in self.strategies))
 
@@ -225,11 +232,11 @@ class Game:
                     f"payoff vector of length {len(cell)} in a {n}-player game"
                 )
 
-    @property
+    @cached_property
     def space(self) -> StrategySpace:
         return StrategySpace(self.players, self.strategies)
 
-    @property
+    @cached_property
     def shape(self) -> GameShape:
         return GameShape(tuple(len(row) for row in self.strategies))
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .characterize import _star_readout, check_equivalence, diff_tensor
+from .characterize import _check_diff, _star_readout, diff_tensor
 from .core import Game, RationalLike, as_rational
 from .errors import (
     ArityMismatch,
@@ -77,7 +77,8 @@ def synthesize_offers(source: Game, target: Game) -> SynthesisResult:
     setting the amount on q's last strategy to zero.  The blocks paying the
     first player then follow from each payer's own difference along axis 0.
     """
-    verdict = check_equivalence(source, target)
+    diff = diff_tensor(source, target)
+    verdict = _check_diff(diff)
     if not verdict.equivalent:
         raise NotEquivalent(verdict)
 
@@ -85,7 +86,7 @@ def synthesize_offers(source: Game, target: Game) -> SynthesisResult:
     players, strategies = space.players, space.strategies
     n = len(players)
     # star[j][k][v]: player j's difference at (0,…,0) with axis k set to v
-    star = _star_readout(diff_tensor(source, target))
+    star = _star_readout(diff)
 
     # e[payer, payee][t]: net amount offered on the payee's strategy t
     e: dict[tuple[int, int], list[Fraction]] = {}

@@ -181,11 +181,10 @@ def test_criterion_09_completion_uniqueness(corpus):
         base = tuple(rng.randrange(c) for c in shape.strategy_counts)
         seed = Seed(base, {p: target.payoff(p) for p in shape.star(base)})
         assert complete_from_seed(game, seed) == target
-        assert complete_from_seed(game, seed, sweep="diagonal") == target
         other = tuple(rng.randrange(c) for c in shape.strategy_counts)
         reseeded = Seed(other, {p: target.payoff(p) for p in shape.star(other)})
         assert complete_from_seed(game, reseeded) == target
-    passed(9, "both sweep orders and any base profile reproduce the unique completion")
+    passed(9, "a seed on any base profile's star reproduces the unique completion")
 
 
 M0_DOC = json.dumps(

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import random
@@ -5,10 +8,11 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import preplay
@@ -45,7 +49,10 @@ OFFER_DOC = """{
 def files(tmp_path):
     def write(name, text):
         path = tmp_path / name
-        path.write_text(text)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         return str(path)
 
     return write
@@ -309,8 +316,10 @@ def test_missing_file_exits_2(capsys):
         ("{nope", "line 1"),
         ('{"schema": ' + "7" * 5000 + "}", "document"),
         ("[" * 3000 + "]" * 3000, "document"),
+        (b"\xff\xfe{", "not valid UTF-8"),
+        (M0_DOC.replace('"4"', '"1e10000000"', 1), "payoffs[0][0][0]"),
     ],
-    ids=["syntax", "huge-integer", "deep-nesting"],
+    ids=["syntax", "huge-integer", "deep-nesting", "not-utf8", "exponent"],
 )
 def test_malformed_json_exits_2(files, capsys, text, where):
     assert run(["analyze", files("broken.json", text)]) == 2
@@ -333,6 +342,129 @@ def test_strict_flag_rejects_negative(files, capsys):
     )
     assert code == 2
     assert "strict" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# input contract: exit 0/1/2, no traceback, at most one stderr line
+
+SEED_DOC = M0_DOC.replace('["1", "1"]', "null")
+
+VALID_DOCS = {
+    "game": json.loads(M0_DOC),
+    "target": json.loads(M2_DOC),
+    "offers": json.loads(OFFER_DOC),
+    "seed": json.loads(SEED_DOC),
+}
+
+# subcommand -> (documents it reads, in argv order; trailing options)
+COMMANDS = {
+    "analyze": (("game",), []),
+    "analyze --json": (("game",), ["--json"]),
+    "check": (("game", "target"), []),
+    "synth": (("game", "target"), []),
+    "apply": (("game", "offers"), []),
+    "invert": (("game", "offers"), []),
+    "complete": (("game", "seed"), []),
+    "dominate": (("game",), ["--profile", "C,C"]),
+}
+
+BAD_RATIONALS = ("1e3", "1e10000000", "1_000", " 3 ", "\u0663", "1/0", "abc", "", "--3", 0.5)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def json_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from json_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_document(draw, doc):
+    """One edit at one place: drop it, retype it, put a bad rational there,
+    or grow the array there by one element."""
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(json_paths(doc))))
+    action = draw(st.sampled_from(("drop", "retype", "rational", "grow")))
+    if not path:
+        doc = draw(json_values)
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if action == "drop":
+            del parent[key]
+        elif action == "retype":
+            parent[key] = draw(json_values)
+        elif action == "rational":
+            parent[key] = draw(st.sampled_from(BAD_RATIONALS))
+        elif isinstance(parent[key], list):
+            parent[key].append(copy.deepcopy(parent[key][-1]) if parent[key] else None)
+        else:
+            parent[key] = [parent[key]]
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def cli_inputs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    roles, _ = COMMANDS[command]
+    docs = {role: json.dumps(VALID_DOCS[role]).encode() for role in roles}
+    role = draw(st.sampled_from(roles))
+    text = docs[role]
+    docs[role] = draw(
+        st.one_of(
+            mutated_document(VALID_DOCS[role]),
+            st.integers(0, len(text) - 1).map(lambda cut: text[:cut]),
+            st.binary(max_size=40),
+        )
+    )
+    return command, docs
+
+
+def run_on_documents(command, docs):
+    """``run`` a subcommand on documents given as bytes, each in its own
+    file; returns the exit code and stderr."""
+    roles, options = COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for role in roles:
+            path = Path(tmp) / f"{role}.json"
+            path.write_bytes(docs[role])
+            paths.append(str(path))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run([command.split()[0], *paths, *options])
+    return code, err.getvalue()
+
+
+def test_contract_documents_are_valid():
+    for command, (roles, _) in COMMANDS.items():
+        docs = {role: json.dumps(VALID_DOCS[role]).encode() for role in roles}
+        assert run_on_documents(command, docs) == (0, "")
+
+
+@settings(max_examples=300, deadline=None)
+@example(("analyze", {"game": b"\xff\xfe{"}))
+@given(cli_inputs())
+def test_cli_input_contract(case):
+    code, err = run_on_documents(*case)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert err.count("\n") <= 1
 
 
 def test_format_matrix_three_person_fallback():

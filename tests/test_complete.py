@@ -5,6 +5,8 @@ import pytest
 
 from preplay import (
     ArityMismatch,
+    Game,
+    GameShape,
     IncompleteSeed,
     Seed,
     SeedSumViolation,
@@ -12,9 +14,11 @@ from preplay import (
     check_equivalence,
     complete_from_seed,
     diff_tensor,
+    payoff_sum,
     synthesize_offers,
     two_person_seed,
 )
+from preplay.core import format_profile
 from conftest import (
     CUBE_COMPLETED_S1,
     CUBE_COMPLETED_S2,
@@ -42,18 +46,6 @@ def test_wide_completion_matches_expected(wide_source):
             assert completed.payoff((i, j)) == tuple(map(Fraction, WIDE_COMPLETED[i][j]))
     diff = diff_tensor(wide_source, completed)
     assert [[diff.value((i, j), 0) for j in range(3)] for i in range(4)] == WIDE_DIFF_A
-
-
-def test_wide_completion_diagonal_sweep_agrees(wide_source):
-    seed = Seed((0, 0), WIDE_SEED)
-    assert complete_from_seed(wide_source, seed, sweep="diagonal") == complete_from_seed(
-        wide_source, seed
-    )
-
-
-def test_unknown_sweep_rejected(wide_source):
-    with pytest.raises(ValueError):
-        complete_from_seed(wide_source, Seed((0, 0), WIDE_SEED), sweep="spiral")
 
 
 def test_cube_completion_matches_expected(cube):
@@ -147,6 +139,143 @@ def test_sweeps_and_bases_agree_on_random_games():
         shape = game.shape
         base = tuple(rng.randrange(c) for c in shape.strategy_counts)
         seed = Seed(base, {p: target.payoff(p) for p in shape.star(base)})
-        row_major = complete_from_seed(game, seed)
-        assert row_major == target  # uniqueness: only one reachable extension
-        assert complete_from_seed(game, seed, sweep="diagonal") == target
+        # uniqueness: only one reachable extension
+        assert complete_from_seed(game, seed) == target
+
+
+# ---------------------------------------------------------------------------
+# differential check against the sweep recurrence
+
+SWEEPS = ("row-major", "diagonal")
+
+
+def _sweep_order(shape: GameShape, base, sweep: str):
+    """Profiles ordered so that stepping any coordinate toward the base moves
+    strictly earlier in the order."""
+    if sweep == "row-major":
+        # per axis: base first, then the upper side ascending, then the lower
+        # side descending; lexicographic over those per-axis positions
+        def axis_position(k: int, v: int) -> int:
+            if v >= base[k]:
+                return v - base[k]
+            return (shape.strategy_counts[k] - base[k]) + (base[k] - v)
+
+        key = lambda p: tuple(axis_position(k, v) for k, v in enumerate(p))
+    elif sweep == "diagonal":
+        key = lambda p: (sum(abs(v - b) for v, b in zip(p, base)), p)
+    else:
+        raise ValueError(f"unknown sweep {sweep!r}; expected one of {SWEEPS}")
+    return sorted(shape.profiles(), key=key)
+
+
+def _toward_base(profile, axis: int, base):
+    step = -1 if profile[axis] > base[axis] else 1
+    return profile[:axis] + (profile[axis] + step,) + profile[axis + 1 :]
+
+
+def sweep_completion(source: Game, seed: Seed, *, sweep: str = "row-major") -> Game:
+    """Reference completion: extend the seed cell by cell with
+
+        c(p) = c(p with axis k stepped toward base)
+             + c(p with axis l stepped toward base)
+             - c(p with both stepped toward base)
+
+    for the first two axes k, l where p differs from the base, sweeping
+    profiles in an order that fills those three neighbours first."""
+    space = source.space
+    shape = space.shape
+    n = shape.player_count
+    base = shape.validate_profile(seed.base_profile)
+
+    star = list(shape.star(base))
+    star_set = set(star)
+    provided = set(seed.assignments)
+    missing = sorted(star_set - provided)
+    extra = sorted(provided - star_set)
+    if missing or extra:
+        parts = []
+        if missing:
+            parts.append("missing " + ", ".join(format_profile(p) for p in missing))
+        if extra:
+            parts.append("unexpected " + ", ".join(format_profile(p) for p in extra))
+        raise IncompleteSeed(
+            f"seed must cover exactly the star of {format_profile(base)}: " + "; ".join(parts)
+        )
+
+    diff = {}
+    for p in star:
+        vector = seed.assignments[p]
+        if len(vector) != n:
+            raise ArityMismatch(
+                f"seed at {format_profile(p)}: payoff vector of length {len(vector)} "
+                f"in a {n}-player game"
+            )
+        total = sum(vector, Fraction(0))
+        required = payoff_sum(source, p)
+        if total != required:
+            raise SeedSumViolation(
+                f"seed at {space.name_profile(p)} has payoff total {total}; "
+                f"offers preserve the source total {required}"
+            )
+        diff[p] = tuple(t - s for t, s in zip(vector, source.payoff(p)))
+
+    for p in _sweep_order(shape, base, sweep):
+        if p in diff:
+            continue
+        k, l = [axis for axis in range(n) if p[axis] != base[axis]][:2]
+        a = _toward_base(p, k, base)
+        b = _toward_base(p, l, base)
+        ab = _toward_base(a, l, base)
+        diff[p] = tuple(x + y - z for x, y, z in zip(diff[a], diff[b], diff[ab]))
+
+    payoffs = tuple(
+        tuple(s + d for s, d in zip(cell, diff[p]))
+        for cell, p in zip(source.payoffs, shape.profiles())
+    )
+    completed = Game(source.players, source.strategies, payoffs)
+    if not check_equivalence(source, completed).equivalent:
+        raise RuntimeError("completed game failed the reachability post-check")
+    return completed
+
+
+def random_base(rng, game):
+    return tuple(rng.randrange(c) for c in game.shape.strategy_counts)
+
+
+def test_completion_matches_sweep_recurrence_on_corpus(corpus):
+    rng = random.Random(61)
+    for game, offers in corpus:
+        target = apply_offer_set(game, offers)
+        seed = star_seed_of(target, random_base(rng, game))
+        completed = complete_from_seed(game, seed)
+        for sweep in SWEEPS:
+            assert completed == sweep_completion(game, seed, sweep=sweep)
+
+
+def test_completion_matches_sweep_recurrence_up_to_four_players():
+    # single-strategy players and 4 players lie outside the shared corpus;
+    # completing back from the target also covers rational sources, and a
+    # star of random sum-preserving vectors covers seeds no offer set chose
+    rng = random.Random(67)
+    shapes = set()
+    for _ in range(60):
+        game = random_game(rng, max_players=4, min_strats=1)
+        target = apply_offer_set(game, random_offer_set(rng, game.space, max_offers=8))
+        shapes.add(game.shape.strategy_counts)
+        base = random_base(rng, game)
+        n = game.shape.player_count
+        arbitrary = {}
+        for p in game.shape.star(base):
+            shift = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n - 1)]
+            shift.append(-sum(shift))
+            arbitrary[p] = tuple(v + d for v, d in zip(game.payoff(p), shift))
+        for source, seed in (
+            (game, star_seed_of(target, base)),
+            (target, star_seed_of(game, base)),
+            (game, Seed(base, arbitrary)),
+        ):
+            completed = complete_from_seed(source, seed)
+            for sweep in SWEEPS:
+                assert completed == sweep_completion(source, seed, sweep=sweep)
+    assert any(len(counts) == 4 for counts in shapes)
+    assert any(1 in counts for counts in shapes)

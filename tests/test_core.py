@@ -39,6 +39,10 @@ def test_as_rational_rejects_floats_bools_garbage():
         as_rational("abc")
     with pytest.raises(ValueError):
         as_rational("1/0")
+    # outside the documented grammar even though Fraction would take them
+    for text in ("1e3", "1e10000000", "1_000", " 3 ", "\u0663"):
+        with pytest.raises(ValueError):
+            as_rational(text)
 
 
 def test_make_game_pd():
