@@ -86,6 +86,12 @@ def _expect_list(node, source: str, location: str, length: Optional[int] = None)
 def _expect_string(node, source: str, location: str) -> str:
     if not isinstance(node, str):
         raise ParseError(source, location, f"expected a string, got {type(node).__name__}")
+    try:
+        # json.loads turns "\ud800" into a lone surrogate, which UTF-8 cannot
+        # encode, so neither the output nor this detail may carry it
+        node.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError(source, location, "string is not valid Unicode (lone surrogate)") from None
     return node
 
 

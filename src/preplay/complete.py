@@ -24,6 +24,7 @@ from .core import (
     PayoffVector,
     Profile,
     RationalLike,
+    _add_separable,
     as_rational,
     format_profile,
     payoff_sum,
@@ -96,20 +97,13 @@ def complete_from_seed(source: Game, seed: Seed) -> Game:
             )
         diff[p] = tuple(t - s for t, s in zip(vector, source.payoff(p)))
 
-    # c(p) = c(b) + sum_k steps_k[p_k], expanded one axis at a time in row-major order
-    origin = diff[base]
-    cells = [origin]
-    for k, count in enumerate(shape.strategy_counts):
-        steps = [
-            tuple(x - o for x, o in zip(diff[base[:k] + (v,) + base[k + 1 :]], origin))
-            for v in range(count)
-        ]
-        cells = [tuple(x + y for x, y in zip(cell, step)) for cell in cells for step in steps]
-
-    payoffs = tuple(
-        tuple(s + d for s, d in zip(cell, delta)) for cell, delta in zip(source.payoffs, cells)
-    )
-    completed = Game(source.players, source.strategies, payoffs)
+    # the same sum regrouped: c(p) = (1 - n) c(b) + sum_k c(b with axis k set to p_k)
+    origin = tuple((1 - n) * x for x in diff[base])
+    steps = [
+        [diff[base[:k] + (v,) + base[k + 1 :]] for v in range(count)]
+        for k, count in enumerate(shape.strategy_counts)
+    ]
+    completed = _add_separable(source, origin, steps)
     if not check_equivalence(source, completed).equivalent:
         raise RuntimeError("completed game failed the reachability post-check")
     return completed

@@ -218,6 +218,7 @@ class Game:
         space = StrategySpace(tuple(self.players), tuple(tuple(r) for r in self.strategies))
         object.__setattr__(self, "players", space.players)
         object.__setattr__(self, "strategies", space.strategies)
+        object.__setattr__(self, "space", space)
         size = space.shape.size
         cells = tuple(tuple(as_rational(v) for v in cell) for cell in self.payoffs)
         object.__setattr__(self, "payoffs", cells)
@@ -234,15 +235,30 @@ class Game:
 
     @cached_property
     def space(self) -> StrategySpace:
+        # __post_init__ fills this slot with the space it validated
         return StrategySpace(self.players, self.strategies)
 
     @cached_property
     def shape(self) -> GameShape:
-        return GameShape(tuple(len(row) for row in self.strategies))
+        return self.space.shape
 
     def payoff(self, profile: Sequence[int]) -> PayoffVector:
         """The payoff vector at a profile of 0-based strategy indices."""
         return self.payoffs[self.shape.flat_index(profile)]
+
+
+def _add_separable(
+    game: Game, origin: Sequence[Fraction], steps: Sequence[Sequence[Sequence[Fraction]]]
+) -> Game:
+    """``game`` with ``origin + sum_k steps[k][p_k]`` added to the payoff vector
+    at every profile p, expanded one axis at a time in row-major order."""
+    deltas = [origin]
+    for axis in steps:
+        deltas = [tuple(x + y for x, y in zip(d, s)) for d in deltas for s in axis]
+    payoffs = tuple(
+        tuple(v + x for v, x in zip(cell, delta)) for cell, delta in zip(game.payoffs, deltas)
+    )
+    return Game(game.players, game.strategies, payoffs)
 
 
 def make_game(

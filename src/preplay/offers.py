@@ -3,7 +3,10 @@
 An offer names a payer, a payee, one of the payee's strategies, and an
 amount.  Applying it to a game moves the amount from the payer to the payee
 in every outcome where the payee plays the named strategy — the offer is
-conditional on the payee's choice only, never on the payer's own.
+conditional on the payee's choice only, never on the payer's own.  So an
+offer set is one payment vector per (payee, strategy): a profile's payoffs
+change by the vectors of the strategies played there, summed over the axes,
+and the whole set is applied in one pass.
 
 Offer-induced transformations commute, the empty offer set is the identity,
 and every offer set has an inverse realizable with nonnegative payments, so
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import Game, StrategySpace, as_rational
+from .core import Game, StrategySpace, _add_separable, as_rational
 from .errors import NameMismatch, SelfOffer, ShapeMismatch
 
 __all__ = [
@@ -115,28 +118,12 @@ def apply_offer(game: Game, offer: Offer) -> Game:
     subtracted from the payer's payoff and added to the payee's; all other
     profiles are untouched.  Per-profile payoff totals are preserved.
     """
-    space = game.space
-    payer = space.player_index(offer.payer)
-    payee = space.player_index(offer.payee)
-    strategy = space.strategy_index(offer.payee, offer.payee_strategy)
-    shape = game.shape
-    stride = shape.strides[payee]
-    count = shape.strategy_counts[payee]
-    amount = offer.amount
-
-    cells = list(game.payoffs)
-    for flat, cell in enumerate(cells):
-        if (flat // stride) % count != strategy:
-            continue
-        updated = list(cell)
-        updated[payer] -= amount
-        updated[payee] += amount
-        cells[flat] = tuple(updated)
-    return Game(game.players, game.strategies, tuple(cells))
+    return apply_offer_set(game, OfferSet(game.space, (offer,)))
 
 
 def apply_offer_set(game: Game, offer_set: OfferSet) -> Game:
-    """Transform a game by every offer in the set (order is immaterial)."""
+    """Transform a game by every offer in the set (order is immaterial), in
+    one pass through the set's payment vectors per (payee, strategy)."""
     if offer_set.space != game.space:
         if offer_set.space.shape != game.shape:
             raise ShapeMismatch(
@@ -144,10 +131,13 @@ def apply_offer_set(game: Game, offer_set: OfferSet) -> Game:
                 f"applied to shape {game.shape.strategy_counts}"
             )
         raise NameMismatch("offer set and game disagree on player or strategy names")
-    result = game
+    zero = (Fraction(0),) * len(game.players)
+    steps = [[list(zero) for _ in row] for row in game.strategies]
     for offer in offer_set:
-        result = apply_offer(result, offer)
-    return result
+        payer, payee, strategy = offer_set._key(offer)
+        steps[payee][strategy][payer] -= offer.amount
+        steps[payee][strategy][payee] += offer.amount
+    return _add_separable(game, zero, steps)
 
 
 def invert_offer(offer: Offer, space: StrategySpace) -> OfferSet:

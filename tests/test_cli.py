@@ -318,8 +318,9 @@ def test_missing_file_exits_2(capsys):
         ("[" * 3000 + "]" * 3000, "document"),
         (b"\xff\xfe{", "not valid UTF-8"),
         (M0_DOC.replace('"4"', '"1e10000000"', 1), "payoffs[0][0][0]"),
+        (M0_DOC.replace('"I"', '"\\ud800"', 1), "players[0]"),
     ],
-    ids=["syntax", "huge-integer", "deep-nesting", "not-utf8", "exponent"],
+    ids=["syntax", "huge-integer", "deep-nesting", "not-utf8", "exponent", "lone-surrogate"],
 )
 def test_malformed_json_exits_2(files, capsys, text, where):
     assert run(["analyze", files("broken.json", text)]) == 2
@@ -445,10 +446,13 @@ def run_on_documents(command, docs):
             path = Path(tmp) / f"{role}.json"
             path.write_bytes(docs[role])
             paths.append(str(path))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        # encode as the real streams do, so text they cannot carry fails here too
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run([command.split()[0], *paths, *options])
-    return code, err.getvalue()
+        err.flush()
+    return code, err.buffer.getvalue().decode("utf-8")
 
 
 def test_contract_documents_are_valid():
@@ -459,6 +463,7 @@ def test_contract_documents_are_valid():
 
 @settings(max_examples=300, deadline=None)
 @example(("analyze", {"game": b"\xff\xfe{"}))
+@example(("analyze", {"game": M0_DOC.replace('"I"', '"\\ud800"', 1).encode()}))
 @given(cli_inputs())
 def test_cli_input_contract(case):
     code, err = run_on_documents(*case)

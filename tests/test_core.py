@@ -175,6 +175,21 @@ def test_game_cell_count_validation():
         Game(("I", "II"), (("a",), ("c",)), ((1, 1), (2, 2)))
 
 
+def test_game_keeps_the_frame_it_validated(monkeypatch):
+    built = []
+    validate = StrategySpace.__post_init__
+
+    def counting(space):
+        built.append(space)
+        validate(space)
+
+    monkeypatch.setattr(StrategySpace, "__post_init__", counting)
+    game = Game(("I", "II"), (("C", "D"), ("C", "D")), ((4, 4), (0, 5), (5, 0), (1, 1)))
+    assert game.space.players == ("I", "II")
+    assert len(built) == 1
+    assert game.shape is game.space.shape
+
+
 def test_strategy_space_lookup_errors():
     space = StrategySpace(("I", "II"), (("C", "D"), ("C", "D")))
     with pytest.raises(UnknownPlayer):

@@ -66,6 +66,85 @@ def test_self_offer_rejected():
 
 
 # ---------------------------------------------------------------------------
+# one-pass application against the per-offer cell scan
+
+
+def per_offer_apply(game: Game, offer: Offer) -> Game:
+    """Reference application of one offer: scan every cell and move the
+    amount wherever the payee plays the named strategy."""
+    space = game.space
+    payer = space.player_index(offer.payer)
+    payee = space.player_index(offer.payee)
+    strategy = space.strategy_index(offer.payee, offer.payee_strategy)
+    shape = game.shape
+    stride = shape.strides[payee]
+    count = shape.strategy_counts[payee]
+    amount = offer.amount
+
+    cells = list(game.payoffs)
+    for flat, cell in enumerate(cells):
+        if (flat // stride) % count != strategy:
+            continue
+        updated = list(cell)
+        updated[payer] -= amount
+        updated[payee] += amount
+        cells[flat] = tuple(updated)
+    return Game(game.players, game.strategies, tuple(cells))
+
+
+def per_offer_apply_set(game: Game, offer_set: OfferSet) -> Game:
+    """Reference application of an offer set: one offer after another."""
+    for offer in offer_set:
+        game = per_offer_apply(game, offer)
+    return game
+
+
+def assert_matches_per_offer_scan(game, offers):
+    assert apply_offer_set(game, offers) == per_offer_apply_set(game, offers)
+    for one in offers:
+        assert apply_offer(game, one) == per_offer_apply(game, one)
+
+
+def test_apply_offer_set_builds_one_game(monkeypatch, m0):
+    built = []
+    validate = Game.__post_init__
+
+    def counting(game):
+        built.append(game)
+        validate(game)
+
+    monkeypatch.setattr(Game, "__post_init__", counting)
+    apply_offer_set(m0, OfferSet(m0.space, (offer("I", "II", "C", 1),) * 20))
+    assert len(built) == 1
+
+
+def test_one_pass_apply_matches_per_offer_scan_on_corpus(corpus):
+    for game, offers in corpus:
+        assert_matches_per_offer_scan(game, offers)
+
+
+def test_one_pass_apply_matches_per_offer_scan_up_to_four_players():
+    # single-strategy players, 4 players, rational payoffs and repeated
+    # (payer, payee, strategy) triples lie outside the shared corpus
+    rng = random.Random(83)
+    shapes = set()
+    for _ in range(60):
+        game = random_game(rng, max_players=4, min_strats=1)
+        game = Game(
+            game.players,
+            game.strategies,
+            tuple(tuple(Fraction(v, rng.choice((1, 2, 3))) for v in cell) for cell in game.payoffs),
+        )
+        shapes.add(game.shape.strategy_counts)
+        offers = random_offer_set(rng, game.space, max_offers=12).offers
+        repeated = offers + tuple(rng.choice(offers) for _ in range(3) if offers)
+        for subset in ((), offers, repeated):
+            assert_matches_per_offer_scan(game, OfferSet(game.space, subset))
+    assert any(len(counts) == 4 for counts in shapes)
+    assert any(1 in counts for counts in shapes)
+
+
+# ---------------------------------------------------------------------------
 # composite application
 
 
