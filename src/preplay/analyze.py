@@ -1,17 +1,25 @@
-"""Pure-strategy analysis by exhaustive enumeration.
+"""Pure-strategy analysis on a game's exact integer view.
 
-Games here are desk-scale, so everything below just walks the payoff
-tensor: pure Nash equilibria, strict/weak dominance between one player's
-strategies, constant-sum detection, and Pareto-optimal outcomes.
+Every kernel reads ``Game._scaled``: the payoffs as Python ints over one
+common denominator per player, computed once per game.  One player's ints
+compare exactly as their ``Fraction``s do, so pure Nash equilibria,
+strict/weak dominance between one player's strategies and Pareto-optimal
+outcomes need no rational arithmetic at all; the constant-sum total is the
+one value converted back.  Nash and dominance walk one player's axis by its
+row-major stride; Pareto optimality is a sort-filter skyline.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from functools import partial
+from itertools import groupby
+from operator import ge, mul
+from typing import Callable, Mapping, Optional
 
-from .core import Game, Profile
+from .core import Game, Profile, _opposing_flats
 
 __all__ = [
     "AnalysisReport",
@@ -33,7 +41,7 @@ def pure_nash(game: Game) -> frozenset[Profile]:
     """Profiles where no player gains by a unilateral strategy change."""
     shape = game.shape
     counts, strides = shape.strategy_counts, shape.strides
-    cells = game.payoffs
+    _, cells = game._scaled
     equilibria = []
     for flat, profile in enumerate(shape.profiles()):
         stable = True
@@ -64,8 +72,8 @@ def dominance(game: Game, player: str) -> frozenset[DominancePair]:
     stride = shape.strides[k]
     count = shape.strategy_counts[k]
     names = space.strategies[k]
-    cells = game.payoffs
-    opposing = [flat for flat, p in enumerate(shape.profiles()) if p[k] == 0]
+    _, cells = game._scaled
+    opposing = _opposing_flats(shape, k)
 
     pairs = set()
     for s in range(count):
@@ -95,36 +103,60 @@ def dominance(game: Game, player: str) -> frozenset[DominancePair]:
 
 def constant_sum(game: Game) -> Optional[Fraction]:
     """The common outcome total, if every outcome shares one."""
-    totals = {sum(cell, Fraction(0)) for cell in game.payoffs}
-    if len(totals) == 1:
-        return totals.pop()
+    scales, rows = game._scaled
+    common = math.lcm(*scales)
+    weights = [common // scale for scale in scales]
+    totals = (sum(map(mul, row, weights)) for row in rows)
+    first = next(totals)
+    if all(total == first for total in totals):
+        return Fraction(first, common)
     return None
 
 
 def pareto_optimal(game: Game) -> frozenset[Profile]:
     """Profiles whose payoff vector no other profile strongly dominates
-    (>= in every coordinate, > in at least one)."""
-    cells = game.payoffs
-    optimal = []
-    for flat, profile in enumerate(game.shape.profiles()):
-        mine = cells[flat]
-        dominated = any(
-            all(o >= m for o, m in zip(other, mine)) and other != mine
-            for other in cells
-        )
-        if not dominated:
-            optimal.append(profile)
-    return frozenset(optimal)
+    (>= in every coordinate, > in at least one).
+
+    A sort-filter skyline: outcomes are visited by the sum of their scaled
+    payoffs (each player's payoff weighted by that player's positive scale),
+    descending, in groups of equal sum.  A dominating vector has a strictly
+    larger sum, and strictly larger sum plus >= everywhere is domination, so
+    each outcome is tested with >= alone, and only against the optimal
+    outcomes of earlier groups: by transitivity, anything dominated is
+    dominated by an optimal outcome.  When every scaled sum is equal (a
+    constant-sum game whose players share one scale), nothing is compared.
+    """
+    _, rows = game._scaled
+    totals = [sum(row) for row in rows]
+    order = sorted(range(len(rows)), key=totals.__getitem__, reverse=True)
+    skyline: list[tuple[int, ...]] = []
+    optimal = set()
+    for _, group in groupby(order, key=totals.__getitem__):
+        survivors = [
+            flat
+            for flat in group
+            if not any(all(map(ge, other, rows[flat])) for other in skyline)
+        ]
+        skyline.extend(rows[flat] for flat in survivors)
+        optimal.update(survivors)
+    return frozenset(p for flat, p in enumerate(game.shape.profiles()) if flat in optimal)
 
 
 def strictly_dominant_profile(game: Game) -> Optional[Profile]:
     """The profile of per-player strictly dominant strategies, if every
     player has one (single-strategy players qualify vacuously)."""
+    return _dominant_profile(game, partial(dominance, game))
+
+
+def _dominant_profile(
+    game: Game, pairs_of: Callable[[str], frozenset[DominancePair]]
+) -> Optional[Profile]:
+    """``strictly_dominant_profile`` reading each player's pairs from ``pairs_of``."""
     space = game.space
     profile = []
     for k, player in enumerate(space.players):
         names = space.strategies[k]
-        pairs = dominance(game, player)
+        pairs = pairs_of(player)
         winners = [
             s
             for s in range(len(names))
@@ -146,10 +178,11 @@ class AnalysisReport:
 
 
 def report(game: Game) -> AnalysisReport:
+    pairs = {player: dominance(game, player) for player in game.players}
     return AnalysisReport(
         pure_nash=pure_nash(game),
-        dominance={player: dominance(game, player) for player in game.players},
+        dominance=pairs,
         constant_sum=constant_sum(game),
         pareto_optimal=pareto_optimal(game),
-        strictly_dominant_profile=strictly_dominant_profile(game),
+        strictly_dominant_profile=_dominant_profile(game, pairs.__getitem__),
     )

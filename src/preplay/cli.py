@@ -13,8 +13,11 @@ with payoffs nested one level per player (player 1 outermost) and each
 innermost list holding one rational per player.  Rationals may be written
 as integers, integer strings, decimal strings ("0.5"), or ratio strings
 ("1/2"); they are always re-serialized as ratio strings in lowest terms
-(integers without a denominator).  Seed documents reuse the same grammar
-with ``null`` for unspecified cells.  An offer document is
+(integers without a denominator).  A game's payoff denominators may not
+be too varied: each player's payoffs share one least common denominator,
+and those denominators together may take at most 65,536 bits.  Seed
+documents reuse the same grammar with ``null`` for unspecified cells.  An
+offer document is
 
     {"schema": 1, "offers": [{"payer": "I", "payee": "II",
                               "strategy": "C", "amount": "2"}]}
@@ -27,12 +30,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
-from .analyze import report
+from .analyze import pure_nash, report
 from .characterize import check_equivalence
 from .complete import Seed, complete_from_seed
 from .core import Game, Profile, StrategySpace, as_rational, make_game
@@ -47,6 +51,12 @@ from .offers import Offer, OfferSet, apply_offer_set, invert_offer_set
 from .synth import make_profile_dominant, nonnegative_decomposition, synthesize_offers
 
 SCHEMA_VERSION = 1
+
+# Bits that the per-player common payoff denominators of one game document
+# may take together.  Analysis holds every payoff as an int over its
+# player's common denominator (``Game._scaled``), so this bounds each
+# scaled outcome, whatever the denominators' count and length.
+_MAX_SCALE_BITS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +177,26 @@ def parse_game(data: Union[str, bytes], *, source: str = "<game>") -> Game:
         )
 
     _walk_payoffs(doc.get("payoffs"), space, source, visit)
+    _check_scales(cells, source)
     return Game(space.players, space.strategies, tuple(cells))
+
+
+def _check_scales(cells: list[tuple[Fraction, ...]], source: str) -> None:
+    """Reject payoffs whose per-player common denominators take more than
+    ``_MAX_SCALE_BITS`` together; each lcm stops growing past the limit."""
+    bits = 0
+    for column in zip(*cells):
+        scale = 1
+        for denominator in {v.denominator for v in column}:
+            scale = math.lcm(scale, denominator)
+            if bits + scale.bit_length() > _MAX_SCALE_BITS:
+                raise ParseError(
+                    source,
+                    "payoffs",
+                    f"denominators too varied: the players' common denominators "
+                    f"take more than {_MAX_SCALE_BITS} bits",
+                )
+        bits += scale.bit_length()
 
 
 def _render_rational(value: Fraction) -> str:
@@ -498,7 +527,7 @@ def _cmd_demo(args) -> int:
             game = apply_offer_set(game, OfferSet(space, (offer,)))
         out.append(f"{title}:")
         out.append(format_matrix(game))
-        nash = _format_profiles(game, report(game).pure_nash)
+        nash = _format_profiles(game, pure_nash(game))
         out.append(f"pure Nash equilibria: {nash}")
         out.append("")
     sys.stdout.write("\n".join(out))

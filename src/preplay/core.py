@@ -11,6 +11,7 @@ order.  User-facing messages render indices 1-based.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -242,6 +243,25 @@ class Game:
     def shape(self) -> GameShape:
         return self.space.shape
 
+    @cached_property
+    def _scaled(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The payoffs as Python ints over one common denominator per player:
+        ``(scales, rows)`` with ``rows[f][k] == payoffs[f][k] * scales[k]`` and
+        ``scales[k]`` the lcm of player k's payoff denominators.  Player k's
+        ints compare and subtract exactly as their ``Fraction``s do, so
+        read-only kernels can work on them directly.  One scale per player
+        keeps each int as short as that player's own denominators allow."""
+        scales, columns = [], []
+        for column in zip(*self.payoffs):
+            # pairwise rounds keep the two sides of each lcm about equally long
+            parts = list({v.denominator for v in column})
+            while len(parts) > 1:
+                parts = [math.lcm(*parts[i : i + 2]) for i in range(0, len(parts), 2)]
+            scale = parts[0]
+            scales.append(scale)
+            columns.append([v.numerator * (scale // v.denominator) for v in column])
+        return tuple(scales), tuple(zip(*columns))
+
     def payoff(self, profile: Sequence[int]) -> PayoffVector:
         """The payoff vector at a profile of 0-based strategy indices."""
         return self.payoffs[self.shape.flat_index(profile)]
@@ -259,6 +279,14 @@ def _add_separable(
         tuple(v + x for v, x in zip(cell, delta)) for cell, delta in zip(game.payoffs, deltas)
     )
     return Game(game.players, game.strategies, payoffs)
+
+
+def _opposing_flats(shape: GameShape, k: int) -> list[int]:
+    """Flat indices of the profiles where player k plays their first strategy;
+    adding ``t * shape.strides[k]`` moves each to k's strategy t."""
+    stride = shape.strides[k]
+    block = stride * shape.strategy_counts[k]
+    return [start + low for start in range(0, shape.size, block) for low in range(stride)]
 
 
 def make_game(

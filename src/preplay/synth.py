@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .characterize import _check_diff, _star_readout, diff_tensor
-from .core import Game, RationalLike, as_rational
+from .core import Game, RationalLike, _opposing_flats, as_rational
 from .errors import (
     ArityMismatch,
     IndexOutOfRange,
@@ -146,6 +146,10 @@ def make_profile_dominant(
     dominant by more than the margin get no offer.  A player's own outgoing
     offers are contingent on *other* players' choices, so they never disturb
     that player's own dominance order; incoming offers alone settle it.
+
+    The shortfalls are read off the game's integer view (``Game._scaled``):
+    for each opposing profile, player k's axis is walked by its row-major
+    stride, and only the worst shortfall per player becomes a ``Fraction``.
     """
     margin = as_rational(margin)
     if margin <= 0:
@@ -158,22 +162,22 @@ def make_profile_dominant(
 
     space = game.space
     n = shape.player_count
+    counts, strides = shape.strategy_counts, shape.strides
+    scales, rows = game._scaled
     offers: list[Offer] = []
     for k in range(n):
         designated = profile[k]
+        stride = strides[k]
+        others = [t * stride for t in range(counts[k]) if t != designated]
+        if not others:
+            continue  # single strategy: nothing to dominate
         # worst shortfall: how much some alternative beats the designated
         # strategy by, across all opposing profiles
-        gap = None
-        for p in shape.profiles():
-            if p[k] == designated:
-                continue
-            q = p[:k] + (designated,) + p[k + 1 :]
-            advantage = game.payoff(p)[k] - game.payoff(q)[k]
-            if gap is None or advantage > gap:
-                gap = advantage
-        if gap is None:
-            continue  # single strategy: nothing to dominate
-        amount = max(Fraction(0), gap + margin)
+        gap = max(
+            max(rows[flat + other][k] for other in others) - rows[flat + designated * stride][k]
+            for flat in _opposing_flats(shape, k)
+        )
+        amount = max(Fraction(0), Fraction(gap, scales[k]) + margin)
         offers.append(
             Offer(
                 space.players[(k + 1) % n],

@@ -208,3 +208,49 @@ def perturbed_corpus(corpus):
     """(game, same game with one sum-preserving cell change) pairs."""
     rng = random.Random(CORPUS_SEED + 1)
     return [(game, perturb_one_cell(rng, game)) for game, _ in corpus]
+
+
+# ---------------------------------------------------------------------------
+# analysis corpora: shapes, rationals and ties outside the shared corpus
+
+
+def rational_game(rng):
+    """2-4 players with 1-4 strategies each (single-strategy players
+    included) and payoffs over denominators 1-3."""
+    game = random_game(rng, max_players=4, min_strats=1)
+    cells = tuple(
+        tuple(Fraction(v, rng.choice((1, 2, 3))) for v in cell) for cell in game.payoffs
+    )
+    return Game(game.players, game.strategies, cells)
+
+
+def tie_game(rng):
+    """Cells drawn from a pool of four vectors over {-1, -1/2, 0, 1/2, 1}, so
+    duplicate payoff vectors and equal totals abound."""
+    game = random_game(rng, max_players=4, min_strats=1)
+    n = len(game.players)
+    pool = [
+        tuple(Fraction(rng.randint(-1, 1), rng.choice((1, 2))) for _ in range(n))
+        for _ in range(4)
+    ]
+    return Game(game.players, game.strategies, tuple(rng.choice(pool) for _ in game.payoffs))
+
+
+def constant_sum_game(rng):
+    """A rational game whose last player's payoff brings every total to 1/3."""
+    game = rational_game(rng)
+    cells = tuple(cell[:-1] + (Fraction(1, 3) - sum(cell[:-1]),) for cell in game.payoffs)
+    return Game(game.players, game.strategies, cells)
+
+
+def prime_denominator_game():
+    """A 3x3x3 game whose 81 payoffs each have their own prime denominator:
+    k + 1/p with k in -3..3, so integer parts tie often."""
+    rng = random.Random(81)
+    primes = iter(p for p in range(2, 420) if all(p % d for d in range(2, p)))
+    cells = tuple(
+        tuple(Fraction(rng.randint(-3, 3) * p + 1, p) for p in (next(primes) for _ in range(3)))
+        for _ in range(27)
+    )
+    names = ("a", "b", "c")
+    return Game(("1", "2", "3"), (names, names, names), cells)

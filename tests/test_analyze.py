@@ -1,20 +1,38 @@
+import math
+import pickle
 import random
+from functools import cached_property
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
+import preplay.analyze
 from preplay import (
+    AnalysisReport,
     Game,
+    Profile,
     UnknownPlayer,
     apply_offer_set,
     constant_sum,
     dominance,
+    make_profile_dominant,
     pareto_optimal,
     pure_nash,
     report,
     strictly_dominant_profile,
 )
-from conftest import grid_game, matching_pennies, random_game, random_offer_set
+from conftest import (
+    constant_sum_game,
+    cube_game,
+    grid_game,
+    matching_pennies,
+    prime_denominator_game,
+    random_game,
+    random_offer_set,
+    rational_game,
+    tie_game,
+)
 
 
 def test_pure_nash_pd_chain(m0, m1, m2):
@@ -110,3 +128,218 @@ def test_report_consistency_on_random_games():
             assert dominant in analysis.pure_nash
         if analysis.constant_sum is not None:
             assert analysis.constant_sum == sum(game.payoffs[0], Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# the integer view against the Fraction kernels it replaced
+
+
+def reference_pure_nash(game: Game) -> frozenset[Profile]:
+    """Reference: the Fraction walk over ``game.payoffs``."""
+    shape = game.shape
+    counts, strides = shape.strategy_counts, shape.strides
+    cells = game.payoffs
+    equilibria = []
+    for flat, profile in enumerate(shape.profiles()):
+        stable = True
+        for k, chosen in enumerate(profile):
+            current = cells[flat][k]
+            origin = flat - chosen * strides[k]
+            if any(
+                cells[origin + t * strides[k]][k] > current
+                for t in range(counts[k])
+                if t != chosen
+            ):
+                stable = False
+                break
+        if stable:
+            equilibria.append(profile)
+    return frozenset(equilibria)
+
+
+def reference_dominance(game: Game, player: str):
+    """Reference: the Fraction walk over ``game.payoffs``."""
+    space = game.space
+    k = space.player_index(player)
+    shape = game.shape
+    stride = shape.strides[k]
+    count = shape.strategy_counts[k]
+    names = space.strategies[k]
+    cells = game.payoffs
+    opposing = [flat for flat, p in enumerate(shape.profiles()) if p[k] == 0]
+
+    pairs = set()
+    for s in range(count):
+        for t in range(count):
+            if s == t:
+                continue
+            always_ge = always_gt = True
+            ever_gt = False
+            for flat in opposing:
+                a = cells[flat + s * stride][k]
+                b = cells[flat + t * stride][k]
+                if a < b:
+                    always_ge = False
+                    break
+                if a > b:
+                    ever_gt = True
+                else:
+                    always_gt = False
+            if not always_ge:
+                continue
+            if always_gt:
+                pairs.add((names[s], names[t], "strict"))
+            if ever_gt:
+                pairs.add((names[s], names[t], "weak"))
+    return frozenset(pairs)
+
+
+def reference_constant_sum(game: Game) -> Optional[Fraction]:
+    """Reference: the set of Fraction totals."""
+    totals = {sum(cell, Fraction(0)) for cell in game.payoffs}
+    if len(totals) == 1:
+        return totals.pop()
+    return None
+
+
+def quadratic_pareto_optimal(game: Game) -> frozenset[Profile]:
+    """Reference: every cell compared with every cell, on Fractions."""
+    cells = game.payoffs
+    optimal = []
+    for flat, profile in enumerate(game.shape.profiles()):
+        mine = cells[flat]
+        dominated = any(
+            all(o >= m for o, m in zip(other, mine)) and other != mine
+            for other in cells
+        )
+        if not dominated:
+            optimal.append(profile)
+    return frozenset(optimal)
+
+
+def reference_strictly_dominant_profile(game: Game) -> Optional[Profile]:
+    """Reference: recomputes every player's dominance pairs."""
+    space = game.space
+    profile = []
+    for k, player in enumerate(space.players):
+        names = space.strategies[k]
+        pairs = reference_dominance(game, player)
+        winners = [
+            s
+            for s in range(len(names))
+            if all((names[s], names[t], "strict") in pairs for t in range(len(names)) if t != s)
+        ]
+        if len(winners) != 1:
+            return None
+        profile.append(winners[0])
+    return tuple(profile)
+
+
+def reference_report(game: Game) -> AnalysisReport:
+    return AnalysisReport(
+        pure_nash=reference_pure_nash(game),
+        dominance={player: reference_dominance(game, player) for player in game.players},
+        constant_sum=reference_constant_sum(game),
+        pareto_optimal=quadratic_pareto_optimal(game),
+        strictly_dominant_profile=reference_strictly_dominant_profile(game),
+    )
+
+
+def assert_matches_references(game):
+    expected = reference_report(game)
+    assert report(game) == expected
+    # each public kernel on a fresh copy, without report's shared pairs
+    fresh = Game(game.players, game.strategies, game.payoffs)
+    assert pure_nash(fresh) == expected.pure_nash
+    for player in fresh.players:
+        assert dominance(fresh, player) == expected.dominance[player]
+    total = constant_sum(fresh)
+    assert total == expected.constant_sum
+    assert type(total) is type(expected.constant_sum)
+    assert pareto_optimal(fresh) == expected.pareto_optimal
+    assert strictly_dominant_profile(fresh) == expected.strictly_dominant_profile
+
+
+def test_analysis_matches_references_on_corpus(corpus):
+    for game, offers in corpus:
+        assert_matches_references(game)
+        assert_matches_references(apply_offer_set(game, offers))
+
+
+def test_analysis_matches_references_up_to_four_players():
+    rng = random.Random(61)
+    shapes = set()
+    for _ in range(60):
+        game = rational_game(rng)
+        shapes.add(game.shape.strategy_counts)
+        assert_matches_references(game)
+    assert any(len(counts) == 4 for counts in shapes)
+    assert any(1 in counts for counts in shapes)
+
+
+def test_analysis_matches_references_on_ties_and_constant_sums():
+    rng = random.Random(62)
+    duplicates = equal_totals = constant = 0
+    for _ in range(60):
+        for game in (tie_game(rng), constant_sum_game(rng)):
+            assert_matches_references(game)
+            cells = game.payoffs
+            duplicates += len(set(cells)) < len(cells)
+            equal_totals += len({sum(c) for c in cells}) < len(set(cells))
+            constant += constant_sum(game) is not None
+    assert duplicates and equal_totals and constant >= 60
+
+
+def test_analysis_matches_references_on_prime_denominators():
+    game = prime_denominator_game()
+    denominators = [v.denominator for cell in game.payoffs for v in cell]
+    assert len(set(denominators)) == 81
+    scales, rows = game._scaled
+    assert scales == tuple(math.prod(v.denominator for v in column) for column in zip(*game.payoffs))
+    assert all(
+        Fraction(r, s) == v
+        for row, cell in zip(rows, game.payoffs)
+        for r, s, v in zip(row, scales, cell)
+    )
+    assert_matches_references(game)
+
+
+def test_report_computes_dominance_once_per_player(monkeypatch):
+    calls = []
+    original = preplay.analyze.dominance
+
+    def counting(game, player):
+        calls.append(player)
+        return original(game, player)
+
+    monkeypatch.setattr(preplay.analyze, "dominance", counting)
+    report(cube_game())
+    assert calls == ["1", "2", "3"]
+
+
+def test_integer_view_is_computed_once_per_game(monkeypatch):
+    view = Game.__dict__["_scaled"]
+    computed = []
+
+    def counting(game):
+        computed.append(game)
+        return view.func(game)
+
+    patched = cached_property(counting)
+    patched.__set_name__(Game, "_scaled")
+    monkeypatch.setattr(Game, "_scaled", patched)
+    game = cube_game()
+    report(game)
+    make_profile_dominant(game, (0, 0, 0), 1)
+    assert computed == [game]
+
+
+def test_cached_view_leaves_equality_hash_and_pickle_alone():
+    game = prime_denominator_game()
+    report(game)
+    fresh = prime_denominator_game()
+    assert "_scaled" in vars(game) and "_scaled" not in vars(fresh)
+    assert game == fresh and hash(game) == hash(fresh)
+    copy = pickle.loads(pickle.dumps(game))
+    assert copy == fresh and hash(copy) == hash(fresh)
+    assert copy._scaled == fresh._scaled

@@ -9,6 +9,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,8 @@ from hypothesis import strategies as st
 import preplay
 from preplay import ParseError, apply_offer_set, make_game
 from preplay.cli import (
+    _MAX_SCALE_BITS,
+    _check_scales,
     format_matrix,
     parse_game,
     parse_offers,
@@ -305,6 +309,16 @@ def test_demo_pd(capsys):
         assert f"pure Nash equilibria: {nash}" in out
 
 
+def test_demo_computes_no_pareto_set(monkeypatch, capsys):
+    # demo prints only each matrix's pure Nash equilibria
+    def unused(game):
+        raise AssertionError("demo computed a Pareto set")
+
+    monkeypatch.setattr(preplay.analyze, "pareto_optimal", unused)
+    assert run(["demo", "pd"]) == 0
+    assert "pure Nash equilibria: (C,C)" in capsys.readouterr().out
+
+
 def test_missing_file_exits_2(capsys):
     assert run(["analyze", "does-not-exist.json"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -327,6 +341,44 @@ def test_malformed_json_exits_2(files, capsys, text, where):
     err = capsys.readouterr().err
     assert "broken.json" in err and where in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_denominator_bits_at_and_past_the_limit():
+    # player I's denominator 2^(limit-2) takes limit-1 bits, player II's
+    # integers 1 bit: the limit exactly; one more doubling is past it
+    at_limit = [(Fraction(1, 2 ** (_MAX_SCALE_BITS - 2)), Fraction(0))]
+    _check_scales(at_limit, "doc")
+    with pytest.raises(ParseError, match="denominators too varied"):
+        _check_scales([(Fraction(1, 2 ** (_MAX_SCALE_BITS - 1)), Fraction(0))], "doc")
+    # the bits add up across players
+    with pytest.raises(ParseError, match="denominators too varied"):
+        _check_scales(at_limit + [(Fraction(0), Fraction(1, 3))], "doc")
+
+
+def hostile_denominator_doc(size: int, digits: int) -> str:
+    """A 2-player size x size game whose every payoff is 1/d, for consecutive
+    d of ``digits`` decimal digits: nearly coprime, so each player's common
+    denominator takes about ``digits`` more digits per payoff."""
+    d = iter(range(10 ** (digits - 1), 10**digits))
+    names = [f"s{i}" for i in range(size)]
+    payoffs = [[[f"1/{next(d)}", f"1/{next(d)}"] for _ in names] for _ in names]
+    return json.dumps(
+        {"schema": 1, "players": ["I", "II"], "strategies": [names, names], "payoffs": payoffs}
+    )
+
+
+def test_hostile_denominators_exit_2_within_deadline(files, capsys):
+    # 256 payoffs per player over 1000-digit denominators: one common
+    # denominator per player would take ~850k bits, and so would each of
+    # the 512 payoffs scaled over it
+    path = files("wide.json", hostile_denominator_doc(16, 1000))
+    for argv in (["analyze", path], ["dominate", path, "--profile", "s0,s0"]):
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert "wide.json: payoffs: denominators too varied" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_usage_error_exits_2():

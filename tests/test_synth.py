@@ -22,7 +22,18 @@ from preplay import (
     strictly_dominant_profile,
     synthesize_offers,
 )
-from conftest import cube_game, grid_game, random_game, random_offer_set
+from preplay.core import as_rational
+from preplay.errors import ArityMismatch, IndexOutOfRange
+from conftest import (
+    constant_sum_game,
+    cube_game,
+    grid_game,
+    prime_denominator_game,
+    random_game,
+    random_offer_set,
+    rational_game,
+    tie_game,
+)
 
 
 def as_triples(offer_set):
@@ -347,3 +358,72 @@ def test_dominate_achieves_margin_everywhere():
                     continue
                 q = p[:k] + (profile[k],) + p[k + 1 :]
                 assert transformed.payoff(q)[k] - transformed.payoff(p)[k] >= margin
+
+
+def per_profile_make_profile_dominant(game: Game, profile, margin) -> OfferSet:
+    """Reference: walk every profile and read payoffs through ``game.payoff``."""
+    margin = as_rational(margin)
+    if margin <= 0:
+        raise NonpositiveMargin(f"margin must be positive, got {margin}")
+    shape = game.shape
+    try:
+        profile = shape.validate_profile(profile)
+    except (ArityMismatch, IndexOutOfRange) as exc:
+        raise InvalidProfile(str(exc)) from None
+
+    space = game.space
+    n = shape.player_count
+    offers: list[Offer] = []
+    for k in range(n):
+        designated = profile[k]
+        # worst shortfall: how much some alternative beats the designated
+        # strategy by, across all opposing profiles
+        gap = None
+        for p in shape.profiles():
+            if p[k] == designated:
+                continue
+            q = p[:k] + (designated,) + p[k + 1 :]
+            advantage = game.payoff(p)[k] - game.payoff(q)[k]
+            if gap is None or advantage > gap:
+                gap = advantage
+        if gap is None:
+            continue  # single strategy: nothing to dominate
+        amount = max(Fraction(0), gap + margin)
+        offers.append(
+            Offer(
+                space.players[(k + 1) % n],
+                space.players[k],
+                space.strategies[k][designated],
+                amount,
+            )
+        )
+    return canonicalize(OfferSet(space, tuple(offers)))
+
+
+def assert_dominate_matches_reference(rng, game, profiles=3):
+    for _ in range(profiles):
+        profile = tuple(rng.randrange(c) for c in game.shape.strategy_counts)
+        margin = Fraction(rng.randint(1, 7), rng.choice((1, 2, 5)))
+        expected = per_profile_make_profile_dominant(game, profile, margin)
+        assert make_profile_dominant(game, profile, margin) == expected
+
+
+def test_strided_dominate_matches_per_profile_walk_on_corpus(corpus):
+    rng = random.Random(71)
+    for game, offers in corpus:
+        assert_dominate_matches_reference(rng, game)
+        assert_dominate_matches_reference(rng, apply_offer_set(game, offers))
+
+
+def test_strided_dominate_matches_per_profile_walk_on_odd_games():
+    # 4 players, single-strategy players, rational payoffs, ties,
+    # constant sums and a prime denominator per payoff
+    rng = random.Random(72)
+    shapes = set()
+    for _ in range(60):
+        for game in (rational_game(rng), tie_game(rng), constant_sum_game(rng)):
+            shapes.add(game.shape.strategy_counts)
+            assert_dominate_matches_reference(rng, game)
+    assert any(len(counts) == 4 for counts in shapes)
+    assert any(1 in counts for counts in shapes)
+    assert_dominate_matches_reference(rng, prime_denominator_game(), profiles=10)
