@@ -161,7 +161,8 @@ def _check_diff(diff: DiffTensor) -> EquivalenceVerdict:
     strides = shape.strides
     n = len(counts)
     star = _star_readout(diff)
-    for j in range(n):
+    # under C1 the last player's steps are minus the others' sum, so C2 holds for them too
+    for j in range(n - 1):
         for k in range(n):
             stride, count = strides[k], counts[k]
             if count == 1:

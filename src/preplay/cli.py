@@ -15,7 +15,8 @@ as integers, integer strings, decimal strings ("0.5"), or ratio strings
 ("1/2"); they are always re-serialized as ratio strings in lowest terms
 (integers without a denominator).  A game's payoff denominators may not
 be too varied: each player's payoffs share one least common denominator,
-and those denominators together may take at most 65,536 bits.  Seed
+and those denominators together may take at most 65,536 bits.  A game
+may have at most 64 players.  Seed
 documents reuse the same grammar with ``null`` for unspecified cells.  An
 offer document is
 
@@ -57,6 +58,11 @@ SCHEMA_VERSION = 1
 # player's common denominator (``Game._scaled``), so this bounds each
 # scaled outcome, whatever the denominators' count and length.
 _MAX_SCALE_BITS = 1 << 16
+
+# Players one game document may name.  65 players with two strategies each
+# would already make over 2^64 profiles, so only single-strategy padding can
+# pass this, and synthesis makes n(n-1) offers for it.
+_MAX_PLAYERS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +132,10 @@ def _check_schema(doc: dict, source: str) -> None:
 
 def _parse_frame(doc: dict, source: str) -> StrategySpace:
     players = _expect_list(doc.get("players"), source, "players")
+    if len(players) > _MAX_PLAYERS:
+        raise ParseError(
+            source, "players", f"{len(players)} players; at most {_MAX_PLAYERS} are allowed"
+        )
     players = tuple(
         _expect_string(p, source, f"players[{i}]") for i, p in enumerate(players)
     )
@@ -616,4 +626,9 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # stderr already escapes what its encoding cannot take; let stdout do the
+    # same, so a name outside a non-UTF-8 locale's charset never ends in a
+    # traceback (a caller's redirected stdout may have no reconfigure)
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(run())

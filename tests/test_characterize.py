@@ -1,16 +1,20 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from preplay import (
+    EquivalenceVerdict,
     Game,
     NameMismatch,
     ShapeMismatch,
+    Violation,
     apply_offer_set,
     check_equivalence,
     diff_tensor,
     payoff_sum,
 )
+from preplay.characterize import _check_diff, _star_readout
 from conftest import (
     CUBE_COMPLETED_S1,
     CUBE_COMPLETED_S2,
@@ -19,6 +23,7 @@ from conftest import (
     grid_game,
     random_game,
     random_offer_set,
+    rational_game,
 )
 
 
@@ -145,3 +150,139 @@ def test_c1_violation_on_sum_change(m0):
     assert verdict.violation.profiles == ((1, 0),)
     # the reported profile really does violate sum conservation
     assert payoff_sum(target, (1, 0)) != payoff_sum(m0, (1, 0))
+
+
+# ---------------------------------------------------------------------------
+# differential check against the scan over every player
+
+
+def reference_check_diff(diff):
+    """Reference verdict: the C2 scan runs over every player, the last one
+    included, although C1 already implies the last player's separability."""
+    shape = diff.shape
+    values = diff.values
+    profiles = list(shape.profiles())
+
+    zero = Fraction(0)
+    for flat, p in enumerate(profiles):
+        if sum(values[flat]) != zero:
+            return EquivalenceVerdict(False, Violation("C1", (p,)))
+
+    counts = shape.strategy_counts
+    strides = shape.strides
+    n = len(counts)
+    star = _star_readout(diff)
+    for j in range(n):
+        for k in range(n):
+            stride, count = strides[k], counts[k]
+            if count == 1:
+                continue
+            # reference steps taken along the star of (0,…,0)
+            axis = star[j][k]
+            ref = [b - a for a, b in zip(axis, axis[1:])]
+            for flat, p in enumerate(profiles):
+                v = p[k]
+                if v == count - 1:
+                    continue
+                step = values[flat + stride][j] - values[flat][j]
+                if step != ref[v]:
+                    p_step = p[:k] + (v + 1,) + p[k + 1 :]
+                    q = tuple(v if i == k else 0 for i in range(n))
+                    q_step = tuple(v + 1 if i == k else 0 for i in range(n))
+                    return EquivalenceVerdict(
+                        False,
+                        Violation(
+                            "C2",
+                            (p, p_step, q, q_step),
+                            player=diff.space.players[j],
+                            axis=k,
+                        ),
+                    )
+    return EquivalenceVerdict(True, None)
+
+
+def witness(verdict):
+    v = verdict.violation
+    if v is None:
+        return (verdict.equivalent,)
+    return (verdict.equivalent, v.kind, v.profiles, v.player, v.axis)
+
+
+def assert_same_verdict(source, target):
+    """Compare whole verdicts; return the reference one."""
+    expected = reference_check_diff(diff_tensor(source, target))
+    assert witness(check_equivalence(source, target)) == witness(expected)
+    assert witness(_check_diff(diff_tensor(source, target))) == witness(expected)
+    return expected
+
+
+def move_utility(game, flats, payer, payee, amount):
+    """``game`` with ``amount`` moved from ``payer`` to ``payee`` at the
+    outcomes ``flats``; every outcome keeps its total."""
+    cells = list(game.payoffs)
+    for flat in flats:
+        cell = list(cells[flat])
+        cell[payer] -= amount
+        cell[payee] += amount
+        cells[flat] = tuple(cell)
+    return Game(game.players, game.strategies, tuple(cells))
+
+
+def test_check_matches_reference_on_corpus(corpus, perturbed_corpus):
+    kinds = []
+    for (game, offers), (_, perturbed) in zip(corpus, perturbed_corpus):
+        assert assert_same_verdict(game, apply_offer_set(game, offers)).equivalent
+        kinds.append(assert_same_verdict(game, perturbed).violation)
+    assert {v.kind for v in kinds if v is not None} == {"C2"}
+
+
+def test_check_matches_reference_up_to_four_players():
+    # every pair of players trades utility at one outcome of a reachable
+    # target, the last two included, and again on a slice where axis k and
+    # a later axis take fixed values, which breaks C2 first on axis k; C1
+    # is broken once off the star
+    rng = random.Random(73)
+    shapes = set()
+    c2_witnesses = set()
+    c1_off_star = 0
+    for _ in range(80):
+        game = rational_game(rng)
+        shape = game.shape
+        n = shape.player_count
+        profiles = list(shape.profiles())
+        shapes.add(shape.strategy_counts)
+        target = apply_offer_set(game, random_offer_set(rng, game.space, max_offers=8))
+        assert assert_same_verdict(game, target).equivalent
+        for payer in range(n):
+            for payee in range(payer + 1, n):
+                k = rng.randrange(n - 1)
+                l = rng.randrange(k + 1, n)
+                corner = tuple(rng.randrange(c) for c in shape.strategy_counts)
+                on_slice = [
+                    flat
+                    for flat, p in enumerate(profiles)
+                    if p[k] == corner[k] and p[l] == corner[l]
+                ]
+                for flats in ([rng.randrange(len(profiles))], on_slice):
+                    amount = Fraction(rng.randint(1, 9), rng.choice((1, 2)))
+                    moved = move_utility(target, flats, payer, payee, amount)
+                    v = assert_same_verdict(game, moved).violation
+                    if v is not None:
+                        c2_witnesses.add((n, game.space.player_index(v.player), v.axis))
+        off_star = [flat for flat, p in enumerate(profiles) if sum(1 for x in p if x) >= 2]
+        if off_star:
+            flat = rng.choice(off_star)
+            cells = list(target.payoffs)
+            cells[flat] = (cells[flat][0] + 1,) + cells[flat][1:]
+            broken = Game(game.players, game.strategies, tuple(cells))
+            v = assert_same_verdict(game, broken).violation
+            assert v.kind == "C1" and v.profiles == (profiles[flat],)
+            c1_off_star += 1
+    assert any(len(counts) == 4 for counts in shapes)
+    assert any(1 in counts for counts in shapes)
+    assert c1_off_star >= 20
+    # witnesses fall on every player but the last and on every axis but the
+    # last, in games of 2, 3 and 4 players
+    for n in (2, 3, 4):
+        assert {j for m, j, _ in c2_witnesses if m == n} == set(range(n - 1))
+        assert {k for m, _, k in c2_witnesses if m == n} == set(range(n - 1))

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import preplay
 from preplay import ParseError, apply_offer_set, make_game
 from preplay.cli import (
+    _MAX_PLAYERS,
     _MAX_SCALE_BITS,
     _check_scales,
     format_matrix,
@@ -381,6 +382,32 @@ def test_hostile_denominators_exit_2_within_deadline(files, capsys):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def padded_game_doc(player_count: int) -> str:
+    """A game document of ``player_count`` single-strategy players."""
+    payoffs = ["0"] * player_count
+    for _ in range(player_count):
+        payoffs = [payoffs]
+    return json.dumps(
+        {
+            "schema": 1,
+            "players": [f"P{i}" for i in range(player_count)],
+            "strategies": [["s"]] * player_count,
+            "payoffs": payoffs,
+        }
+    )
+
+
+def test_player_count_at_and_past_the_limit(files, capsys):
+    at_limit = files("at.json", padded_game_doc(_MAX_PLAYERS))
+    assert run(["synth", at_limit, at_limit]) == 0
+    assert json.loads(capsys.readouterr().out) == {"schema": 1, "offers": []}
+    past = files("past.json", padded_game_doc(_MAX_PLAYERS + 1))
+    assert run(["synth", past, past]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "past.json: players: 65 players" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         run(["not-a-command"])
@@ -559,9 +586,9 @@ def declared_console_script():
     return tomllib.loads(text)["project"]["scripts"]["preplay"]
 
 
-def run_child(argv, cwd):
+def run_child(argv, cwd, **env_overrides):
     """Run ``argv`` importing the same ``preplay`` package as this test."""
-    env = dict(os.environ)
+    env = dict(os.environ, **env_overrides)
     package_root = str(Path(preplay.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run(
@@ -592,3 +619,31 @@ def test_python_dash_m_entry_point(tmp_path):
     result = run_child([sys.executable, "-m", "preplay", "demo", "pd"], tmp_path)
     assert result.returncode == 0
     assert "pure Nash equilibria: (C,C)" in result.stdout
+
+
+CYRILLIC_DOC = M0_DOC.replace('"I", "II"', '"\u0416", "II"')
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_non_utf8_stdout_escapes_names(tmp_path, encoding):
+    game = tmp_path / "g.json"
+    game.write_text(CYRILLIC_DOC)
+    target = tmp_path / "t.json"
+    target.write_text(CYRILLIC_DOC.replace('["1", "1"]', '["2", "0"]'))
+    escaped = "\u0416".encode(encoding, "backslashreplace").decode("ascii")
+    for argv, code in ((["check", "g.json", "t.json"], 1), (["analyze", "g.json"], 0)):
+        result = run_child(
+            [sys.executable, "-m", "preplay", *argv], tmp_path, PYTHONIOENCODING=encoding
+        )
+        assert result.returncode == code
+        assert escaped in result.stdout
+        assert "Traceback" not in result.stdout + result.stderr
+
+
+def test_utf8_stdout_keeps_names(tmp_path):
+    (tmp_path / "g.json").write_text(CYRILLIC_DOC)
+    result = run_child(
+        [sys.executable, "-m", "preplay", "analyze", "g.json"], tmp_path, PYTHONIOENCODING="utf-8"
+    )
+    assert result.returncode == 0
+    assert result.stdout.startswith("players: \u0416, II\n")

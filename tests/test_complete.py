@@ -80,6 +80,27 @@ def test_completion_output_is_reachable(wide_source):
     assert apply_offer_set(wide_source, result.offers) == completed
 
 
+def test_completion_runs_no_reachability_check(monkeypatch, wide_source, cube, corpus):
+    # the outer sum of zero-sum star vectors is reachable by construction
+    def unused(diff):
+        raise AssertionError("completion ran the reachability check")
+
+    monkeypatch.setattr("preplay.characterize._check_diff", unused)
+    wide = complete_from_seed(wide_source, Seed((0, 0), WIDE_SEED))
+    assert wide.payoffs == tuple(pair for row in WIDE_COMPLETED for pair in row)
+    cube_cells = tuple(
+        (CUBE_COMPLETED_S1, CUBE_COMPLETED_S2)[k][i][j]
+        for i in range(3)
+        for j in range(3)
+        for k in range(2)
+    )
+    assert complete_from_seed(cube, Seed(CUBE_SEED_BASE, CUBE_SEED)).payoffs == cube_cells
+    rng = random.Random(71)
+    for game, offers in corpus:
+        target = apply_offer_set(game, offers)
+        assert complete_from_seed(game, star_seed_of(target, random_base(rng, game))) == target
+
+
 def test_seed_sum_violation(wide_source):
     bad = dict(WIDE_SEED)
     bad[(0, 1)] = (4, 5)  # source total there is 8
