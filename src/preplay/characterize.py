@@ -15,6 +15,13 @@ Reachability is a property of the per-player difference tensor
 Both conditions together are necessary and sufficient: any game satisfying
 them is reached by some offer set, which the synthesis module constructs.
 
+The check reads the games' integer views (``Game._scaled``) instead of
+``Fraction``s: player k's differences become ints over one scale, the lcm of
+the two games' scales for k, so each difference and each C2 step is one int
+subtraction.  Synthesis reads the same view and turns only the coordinate
+star of (0,…,0) back into ``Fraction``s.  ``diff_tensor`` stays the public
+``Fraction`` tensor; neither kernel builds it.
+
 A failed check carries a ``Violation`` that names the exact profiles whose
 payoff differences falsify the condition, so callers can re-evaluate the
 failing equality themselves.
@@ -22,8 +29,11 @@ failing equality themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, repeat
+from operator import mul, ne, sub
 from typing import Optional, Sequence
 
 from .core import Game, GameShape, PayoffVector, Profile, StrategySpace, format_profile
@@ -119,19 +129,60 @@ def diff_tensor(source: Game, target: Game) -> DiffTensor:
     return DiffTensor(space, values)
 
 
-def _star_readout(diff: DiffTensor) -> list[list[list[Fraction]]]:
+def _diff_view(source: Game, target: Game) -> tuple[tuple[int, ...], list[list[int]]]:
+    """``target - source`` on the games' integer views (``Game._scaled``):
+    ``(scales, columns)`` with ``columns[k][f] == (target - source)[f][k] *
+    scales[k]``.
+
+    Player k's scale is the lcm of the two games' scales for k, so each entry
+    is one int subtraction, and every int stays as short as player k's own
+    denominators allow.  Both games must share players, strategy names, and
+    shape.
+    """
+    _require_same_frame(source, target)
+    s_scales, s_rows = source._scaled
+    t_scales, t_rows = target._scaled
+    scales, columns = [], []
+    for s_scale, t_scale, s_col, t_col in zip(s_scales, t_scales, zip(*s_rows), zip(*t_rows)):
+        scale = math.lcm(s_scale, t_scale)
+        if scale != s_scale:
+            s_col = map(mul, s_col, repeat(scale // s_scale))
+        if scale != t_scale:
+            t_col = map(mul, t_col, repeat(scale // t_scale))
+        scales.append(scale)
+        columns.append(list(map(sub, t_col, s_col)))
+    return tuple(scales), columns
+
+
+def _profile_at(shape: GameShape, flat: int) -> Profile:
+    """The profile at a row-major flat index."""
+    return tuple(
+        flat // stride % length for stride, length in zip(shape.strides, shape.strategy_counts)
+    )
+
+
+def _total(cell: PayoffVector) -> tuple[int, int]:
+    """A payoff vector's sum as an unreduced ``(numerator, denominator)``."""
+    num, den = 0, 1
+    for v in cell:
+        d = v.denominator
+        num, den = num * d + v.numerator * den, den * d
+    return num, den
+
+
+def _star_readout(
+    shape: GameShape, scales: Sequence[int], columns: Sequence[Sequence[int]]
+) -> list[list[list[Fraction]]]:
     """``star[j][k][v]``: player j's difference at the all-first profile
-    (0,…,0) with axis k set to v.
+    (0,…,0) with axis k set to v, read off ``_diff_view``'s columns.
 
     That profile's coordinate star along axis k sits at flat index
     ``v * stride_k``.  A reachable tensor is determined by these values.
     """
-    shape = diff.shape
-    values = diff.values
     axes = list(zip(shape.strides, shape.strategy_counts))
     return [
-        [[values[v * stride][j] for v in range(count)] for stride, count in axes]
-        for j in range(shape.player_count)
+        [[Fraction(column[v * stride], scale) for v in range(length)] for stride, length in axes]
+        for scale, column in zip(scales, columns)
     ]
 
 
@@ -140,52 +191,73 @@ def check_equivalence(source: Game, target: Game) -> EquivalenceVerdict:
 
     C1 is checked over all profiles first, then C2; the verdict reports the
     first violation in that order (row-major within each condition), so the
-    outcome is deterministic.
+    outcome is deterministic.  Both conditions are decided on the games'
+    integer views (``_diff_view``), not on ``diff_tensor``'s ``Fraction``s.
     """
-    return _check_diff(diff_tensor(source, target))
+    return _check_diff(source, target, *_diff_view(source, target))
 
 
-def _check_diff(diff: DiffTensor) -> EquivalenceVerdict:
-    """The verdict of ``check_equivalence`` on an already built difference
-    tensor."""
-    shape = diff.shape
-    values = diff.values
-    profiles = list(shape.profiles())
+def _check_diff(
+    source: Game, target: Game, scales: Sequence[int], columns: Sequence[Sequence[int]]
+) -> EquivalenceVerdict:
+    """The verdict of ``check_equivalence`` on the difference view that
+    ``_diff_view(source, target)`` built."""
+    shape = source.shape
+    if len(set(scales)) == 1:
+        # one scale for every player: a profile's ints sum to zero exactly
+        # when its differences do
+        broken = map(sum, zip(*columns))
+    else:
+        # compare each profile's two payoff totals instead, each over the
+        # product of that profile's own denominators, which stays short even
+        # where the players' scales are long
+        broken = (
+            s_num * t_den != t_num * s_den
+            for (s_num, s_den), (t_num, t_den) in zip(
+                map(_total, source.payoffs), map(_total, target.payoffs)
+            )
+        )
+    flat = next(compress(count(), broken), None)
+    if flat is not None:
+        return EquivalenceVerdict(False, Violation("C1", (_profile_at(shape, flat),)))
 
-    zero = Fraction(0)
-    for flat, p in enumerate(profiles):
-        if sum(values[flat]) != zero:
-            return EquivalenceVerdict(False, Violation("C1", (p,)))
-
-    counts = shape.strategy_counts
-    strides = shape.strides
+    counts, strides, size = shape.strategy_counts, shape.strides, shape.size
     n = len(counts)
-    star = _star_readout(diff)
-    # under C1 the last player's steps are minus the others' sum, so C2 holds for them too
+    # Under C1 the last player's steps are minus the others' sum, so C2 holds
+    # for them too.  And once player j's steps match the star's along axes
+    # 0..n-2 at every profile, walking those axes from (0,…,0,p_{n-1}) writes
+    # j's difference at p as its value at (0,…,0,p_{n-1}) plus star terms
+    # that do not involve p_{n-1}; so j's steps along axis n-1 match the
+    # star's as well, and the first violation never lies on that axis.
     for j in range(n - 1):
-        for k in range(n):
-            stride, count = strides[k], counts[k]
-            if count == 1:
+        column = columns[j]
+        for k in range(n - 1):
+            stride, length = strides[k], counts[k]
+            if length == 1:
                 continue
-            # reference steps taken along the star of (0,…,0)
-            axis = star[j][k]
-            ref = [b - a for a, b in zip(axis, axis[1:])]
-            for flat, p in enumerate(profiles):
-                v = p[k]
-                if v == count - 1:
+            block = stride * length
+            star = column[:block:stride]
+            # the star's step out of each position v, once per flat of a block
+            # that can step: those with coordinate k below length - 1
+            ref = [b - a for a, b in zip(star, star[1:]) for _ in range(stride)]
+            for start in range(0, size, block):
+                end = start + block
+                steps = map(sub, column[start + stride : end], column[start : end - stride])
+                flat = next(compress(count(start), map(ne, steps, ref)), None)
+                if flat is None:
                     continue
-                step = values[flat + stride][j] - values[flat][j]
-                if step != ref[v]:
-                    p_step = p[:k] + (v + 1,) + p[k + 1 :]
-                    q = tuple(v if i == k else 0 for i in range(n))
-                    q_step = tuple(v + 1 if i == k else 0 for i in range(n))
-                    return EquivalenceVerdict(
-                        False,
-                        Violation(
-                            "C2",
-                            (p, p_step, q, q_step),
-                            player=diff.space.players[j],
-                            axis=k,
-                        ),
-                    )
+                p = _profile_at(shape, flat)
+                v = p[k]
+                p_step = p[:k] + (v + 1,) + p[k + 1 :]
+                q = tuple(v if i == k else 0 for i in range(n))
+                q_step = tuple(v + 1 if i == k else 0 for i in range(n))
+                return EquivalenceVerdict(
+                    False,
+                    Violation(
+                        "C2",
+                        (p, p_step, q, q_step),
+                        player=source.space.players[j],
+                        axis=k,
+                    ),
+                )
     return EquivalenceVerdict(True, None)

@@ -4,6 +4,9 @@ A game is a set of named players, a named strategy list per player, and one
 payoff vector per strategy profile.  All payoffs (and, elsewhere in the
 package, all payment amounts) are ``fractions.Fraction`` values, so every
 transformation and every equality test is exact; nothing is ever rounded.
+Each game also caches its payoffs as Python ints over one common denominator
+per player (``Game._scaled``); the analysis kernels, the reachability check
+and synthesis read that integer view instead of the ``Fraction``s.
 
 Profiles are tuples of 0-based strategy indices, one per player, in player
 order.  User-facing messages render indices 1-based.
@@ -35,14 +38,22 @@ Profile = tuple[int, ...]
 PayoffVector = tuple[Fraction, ...]
 
 
+# the rational grammar: an optional sign, ASCII digits, and an optional
+# "/denominator" or ".fraction" part.  Fraction alone also takes exponents
+# ("1e10000000" takes seconds), "_", surrounding whitespace and non-ASCII
+# digits.
+_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or string to an exact Fraction.
 
     Strings may be integers ("3"), ratios ("3/4"), or decimals ("0.25"),
     each with an optional sign and ASCII digits only; decimals are read
-    exactly, not via binary floating point.  Floats are rejected outright —
-    they would silently smuggle rounding error into a model whose whole
-    point is exactness.
+    exactly, not via binary floating point.  A string is matched once, and
+    its digit groups are read with ``int()`` as ``Fraction(str)`` would read
+    them.  Floats are rejected outright — they would silently smuggle
+    rounding error into a model whose whole point is exactness.
     """
     if isinstance(value, Fraction):
         return value
@@ -51,12 +62,22 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        # Fraction alone also takes exponents ("1e10000000" takes seconds),
-        # "_", surrounding whitespace and non-ASCII digits
-        if not re.fullmatch(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?", value):
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
             raise ValueError(f"not a rational value: {value!r}")
+        sign, whole, denominator, decimals = match.groups()
         try:
-            return Fraction(value)
+            if denominator is None and decimals is None:
+                return Fraction(int(value))
+            # each digit group is read alone, as Fraction(str) reads it, so
+            # the int-to-str digit limit applies per group
+            numerator = int(whole)
+            if decimals is None:
+                denominator = int(denominator)
+            else:
+                denominator = 10 ** len(decimals)
+                numerator = numerator * denominator + int(decimals)
+            return Fraction(-numerator if sign == "-" else numerator, denominator)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational value: {value!r}") from exc
     raise TypeError(f"not a rational value: {value!r}")

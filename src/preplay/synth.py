@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .characterize import _check_diff, _star_readout, diff_tensor
+from .characterize import _check_diff, _diff_view, _star_readout
 from .core import Game, RationalLike, _opposing_flats, as_rational
 from .errors import (
     ArityMismatch,
@@ -76,9 +76,13 @@ def synthesize_offers(source: Game, target: Game) -> SynthesisResult:
     player q ≥ 1 is fixed up to a constant; that constant is pinned by
     setting the amount on q's last strategy to zero.  The blocks paying the
     first player then follow from each payer's own difference along axis 0.
+
+    The check and the star readout share one difference view built from the
+    games' integer views (``Game._scaled``); only the star's values become
+    ``Fraction``s.
     """
-    diff = diff_tensor(source, target)
-    verdict = _check_diff(diff)
+    scales, columns = _diff_view(source, target)
+    verdict = _check_diff(source, target, scales, columns)
     if not verdict.equivalent:
         raise NotEquivalent(verdict)
 
@@ -86,7 +90,7 @@ def synthesize_offers(source: Game, target: Game) -> SynthesisResult:
     players, strategies = space.players, space.strategies
     n = len(players)
     # star[j][k][v]: player j's difference at (0,…,0) with axis k set to v
-    star = _star_readout(diff)
+    star = _star_readout(space.shape, scales, columns)
 
     # e[payer, payee][t]: net amount offered on the payee's strategy t
     e: dict[tuple[int, int], list[Fraction]] = {}

@@ -3,24 +3,29 @@ from fractions import Fraction
 
 import pytest
 
+import preplay.synth
 from preplay import (
+    DiffTensor,
     EquivalenceVerdict,
     Game,
     NameMismatch,
+    NotEquivalent,
     ShapeMismatch,
     Violation,
     apply_offer_set,
     check_equivalence,
     diff_tensor,
     payoff_sum,
+    synthesize_offers,
 )
-from preplay.characterize import _check_diff, _star_readout
+from preplay.characterize import _check_diff, _diff_view, _star_readout
 from conftest import (
     CUBE_COMPLETED_S1,
     CUBE_COMPLETED_S2,
     WIDE_COMPLETED,
     WIDE_DIFF_A,
     grid_game,
+    prime_denominator_game,
     random_game,
     random_offer_set,
     rational_game,
@@ -153,12 +158,30 @@ def test_c1_violation_on_sum_change(m0):
 
 
 # ---------------------------------------------------------------------------
-# differential check against the scan over every player
+# differential check against the Fraction scans
 
 
-def reference_check_diff(diff):
-    """Reference verdict: the C2 scan runs over every player, the last one
-    included, although C1 already implies the last player's separability."""
+def fraction_star_readout(diff: DiffTensor) -> list[list[list[Fraction]]]:
+    """``star[j][k][v]``: player j's difference at the all-first profile
+    (0,…,0) with axis k set to v.
+
+    That profile's coordinate star along axis k sits at flat index
+    ``v * stride_k``.  A reachable tensor is determined by these values.
+    """
+    shape = diff.shape
+    values = diff.values
+    axes = list(zip(shape.strides, shape.strategy_counts))
+    return [
+        [[values[v * stride][j] for v in range(count)] for stride, count in axes]
+        for j in range(shape.player_count)
+    ]
+
+
+def fraction_check_diff(diff: DiffTensor, every_player: bool = False) -> EquivalenceVerdict:
+    """Reference verdict: C1 and C2 on ``diff_tensor``'s ``Fraction``s, C2
+    along every axis and for every player but the last.  ``every_player``
+    scans the last player too, although C1 already implies its
+    separability."""
     shape = diff.shape
     values = diff.values
     profiles = list(shape.profiles())
@@ -171,8 +194,9 @@ def reference_check_diff(diff):
     counts = shape.strategy_counts
     strides = shape.strides
     n = len(counts)
-    star = _star_readout(diff)
-    for j in range(n):
+    star = fraction_star_readout(diff)
+    # under C1 the last player's steps are minus the others' sum, so C2 holds for them too
+    for j in range(n if every_player else n - 1):
         for k in range(n):
             stride, count = strides[k], counts[k]
             if count == 1:
@@ -208,11 +232,32 @@ def witness(verdict):
     return (verdict.equivalent, v.kind, v.profiles, v.player, v.axis)
 
 
+def fraction_synthesis(source, target):
+    """``synthesize_offers`` with its check and star readout taken from the
+    ``Fraction`` references instead of the integer view."""
+    diff = diff_tensor(source, target)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(preplay.synth, "_check_diff", lambda *view: fraction_check_diff(diff))
+        patch.setattr(preplay.synth, "_star_readout", lambda *view: fraction_star_readout(diff))
+        return synthesize_offers(source, target)
+
+
 def assert_same_verdict(source, target):
-    """Compare whole verdicts; return the reference one."""
-    expected = reference_check_diff(diff_tensor(source, target))
+    """Compare whole verdicts with both ``Fraction`` scans, and synthesis and
+    the star readout with theirs; return the reference verdict."""
+    diff = diff_tensor(source, target)
+    expected = fraction_check_diff(diff, every_player=True)
+    assert witness(fraction_check_diff(diff)) == witness(expected)
     assert witness(check_equivalence(source, target)) == witness(expected)
-    assert witness(_check_diff(diff_tensor(source, target))) == witness(expected)
+    assert witness(_check_diff(source, target, *_diff_view(source, target))) == witness(expected)
+    if expected.equivalent:
+        star = _star_readout(source.shape, *_diff_view(source, target))
+        assert star == fraction_star_readout(diff)
+        assert synthesize_offers(source, target) == fraction_synthesis(source, target)
+    else:
+        with pytest.raises(NotEquivalent) as raised:
+            synthesize_offers(source, target)
+        assert witness(raised.value.verdict) == witness(expected)
     return expected
 
 
@@ -286,3 +331,87 @@ def test_check_matches_reference_up_to_four_players():
     for n in (2, 3, 4):
         assert {j for m, j, _ in c2_witnesses if m == n} == set(range(n - 1))
         assert {k for m, _, k in c2_witnesses if m == n} == set(range(n - 1))
+
+
+def add_to_total(game, flat, amount):
+    """``game`` with ``amount`` added to the first player's payoff at the
+    outcome ``flat``: that outcome's total changes, so C1 fails there."""
+    cells = list(game.payoffs)
+    cells[flat] = (cells[flat][0] + amount,) + cells[flat][1:]
+    return Game(game.players, game.strategies, tuple(cells))
+
+
+def assert_same_verdicts_on_breaks(rng, game, target):
+    """Reachable ``target``, utility trades and total changes on and off the
+    star of (0,…,0), each compared with the references.  Returns how many C1
+    witnesses fell on and off the star."""
+    assert assert_same_verdict(game, target).equivalent
+    profiles = list(game.shape.profiles())
+    on_star = [flat for flat, p in enumerate(profiles) if sum(1 for x in p if x) <= 1]
+    off_star = [flat for flat in range(len(profiles)) if flat not in on_star]
+    n = len(game.players)
+    for flat in (rng.randrange(len(profiles)), rng.choice(on_star)):
+        payer, payee = rng.sample(range(n), 2)
+        assert_same_verdict(game, move_utility(target, [flat], payer, payee, Fraction(1, 7)))
+    hits = [0, 0]
+    for side, flats in enumerate((on_star, off_star)):
+        if flats:
+            flat = rng.choice(flats)
+            v = assert_same_verdict(game, add_to_total(target, flat, Fraction(1, 7))).violation
+            assert v.kind == "C1" and v.profiles == (profiles[flat],)
+            hits[side] += 1
+    return hits
+
+
+def test_check_matches_reference_with_unequal_scales():
+    # an integer first player beside rational ones: the players' scales
+    # differ, so C1 compares payoff totals instead of summing the view's ints
+    rng = random.Random(29)
+    unequal = equal = 0
+    c1_hits = [0, 0]
+    for _ in range(60):
+        game = random_game(rng, max_players=4, min_strats=1)
+        cells = tuple(
+            cell[:1] + tuple(Fraction(v, rng.choice((2, 3, 5))) for v in cell[1:])
+            for cell in game.payoffs
+        )
+        game = Game(game.players, game.strategies, cells)
+        target = apply_offer_set(game, random_offer_set(rng, game.space))
+        scales, _ = _diff_view(game, target)
+        if len(set(scales)) > 1:
+            unequal += 1
+        else:
+            equal += 1
+        hits = assert_same_verdicts_on_breaks(rng, game, target)
+        c1_hits = [a + b for a, b in zip(c1_hits, hits)]
+    assert unequal >= 50 and equal >= 1
+    assert min(c1_hits) >= 20
+
+
+def test_check_matches_reference_on_prime_denominators():
+    game = prime_denominator_game()
+    rng = random.Random(83)
+    c1_hits = [0, 0]
+    for _ in range(4):
+        target = apply_offer_set(game, random_offer_set(rng, game.space, max_offers=8))
+        scales, _ = _diff_view(game, target)
+        assert len(set(scales)) == 3
+        hits = assert_same_verdicts_on_breaks(rng, game, target)
+        c1_hits = [a + b for a, b in zip(c1_hits, hits)]
+    assert c1_hits == [4, 4]
+
+
+def test_check_and_synthesis_build_no_diff_tensor(monkeypatch, m0, m2, cube, verdict_source):
+    def unused(source, target):
+        raise AssertionError("built the Fraction difference tensor")
+
+    monkeypatch.setattr("preplay.characterize.diff_tensor", unused)
+    assert check_equivalence(m0, m2).equivalent
+    assert apply_offer_set(m0, synthesize_offers(m0, m2).offers) == m2
+    completed = completed_cube(cube)
+    assert check_equivalence(cube, completed).equivalent
+    assert apply_offer_set(cube, synthesize_offers(cube, completed).offers) == completed
+    unreachable = verdict_target([(2, 6), (2, 3), (0, 3), (1, 1)])
+    assert check_equivalence(verdict_source, unreachable).violation.kind == "C2"
+    with pytest.raises(NotEquivalent):
+        synthesize_offers(verdict_source, unreachable)

@@ -1,3 +1,6 @@
+import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -43,6 +46,72 @@ def test_as_rational_rejects_floats_bools_garbage():
     for text in ("1e3", "1e10000000", "1_000", " 3 ", "\u0663"):
         with pytest.raises(ValueError):
             as_rational(text)
+
+
+def reference_as_rational(value):
+    """Reference: the grammar check, then ``Fraction(str)`` parses the
+    string a second time."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise TypeError(f"not a rational value: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        # Fraction alone also takes exponents ("1e10000000" takes seconds),
+        # "_", surrounding whitespace and non-ASCII digits
+        if not re.fullmatch(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?", value):
+            raise ValueError(f"not a rational value: {value!r}")
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"not a rational value: {value!r}") from exc
+    raise TypeError(f"not a rational value: {value!r}")
+
+
+def random_rational_text(rng):
+    def digits():
+        length = rng.choice((1, 1, 2, 3, 5, 40, 300))
+        return "".join(rng.choice("0000123456789") for _ in range(length))
+
+    sign = rng.choice(("", "+", "-"))
+    form = rng.randrange(3)
+    if form == 0:
+        return sign + digits()
+    if form == 1:
+        return f"{sign}{digits()}/{rng.randint(1, 9)}{digits()}"
+    return f"{sign}{digits()}.{digits()}"
+
+
+def test_as_rational_matches_fraction_on_valid_strings():
+    fixed = ["-0", "+0", "0.000", "-0.000", "+3/4", "-3/4", "007", "-007.0700", "+0/5", "10/4"]
+    rng = random.Random(43)
+    texts = fixed + [random_rational_text(rng) for _ in range(500)]
+    assert any(len(t) > 300 for t in texts) and any(t.startswith("-0") for t in texts)
+    for text in texts:
+        value = as_rational(text)
+        assert type(value) is Fraction
+        assert value == Fraction(text) == reference_as_rational(text)
+
+
+def test_as_rational_rejects_with_the_same_text():
+    limit = sys.get_int_max_str_digits()
+    long_run = "7" * (limit + 1)
+    texts = ["1/0", "1/00", "-0/0", "1.", ".5", "1e3", "\u0663", "", "+", "1/2/3", "1.5/2"]
+    if limit:
+        texts += [long_run, "-" + long_run, "1/" + long_run, "0." + long_run, long_run + ".5"]
+    for text in texts:
+        with pytest.raises(ValueError) as raised:
+            as_rational(text)
+        assert str(raised.value) == f"not a rational value: {text!r}"
+        with pytest.raises(ValueError) as expected:
+            reference_as_rational(text)
+        assert str(raised.value) == str(expected.value)
+    if limit:
+        # each digit group stays within the limit, as Fraction reads them
+        within = "7" * limit
+        assert as_rational(within + "." + within) == Fraction(within + "." + within)
+        assert as_rational(within + "/" + within) == 1
 
 
 def test_make_game_pd():
