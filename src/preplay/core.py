@@ -55,12 +55,9 @@ def as_rational(value: RationalLike) -> Fraction:
     them.  Floats are rejected outright — they would silently smuggle
     rounding error into a model whose whole point is exactness.
     """
-    if isinstance(value, Fraction):
+    # exact type first: for any other value, isinstance(value, Fraction) is a slow ABC check
+    if type(value) is Fraction:
         return value
-    if isinstance(value, bool):
-        raise TypeError(f"not a rational value: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         match = _RATIONAL.fullmatch(value)
         if match is None:
@@ -80,6 +77,12 @@ def as_rational(value: RationalLike) -> Fraction:
             return Fraction(-numerator if sign == "-" else numerator, denominator)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational value: {value!r}") from exc
+    if isinstance(value, bool):
+        raise TypeError(f"not a rational value: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     raise TypeError(f"not a rational value: {value!r}")
 
 

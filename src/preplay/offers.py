@@ -4,27 +4,28 @@ An offer names a payer, a payee, one of the payee's strategies, and an
 amount.  Applying it to a game moves the amount from the payer to the payee
 in every outcome where the payee plays the named strategy — the offer is
 conditional on the payee's choice only, never on the payer's own.  So an
-offer set is one payment vector per (payee, strategy): a profile's payoffs
-change by the vectors of the strategies played there, summed over the axes,
-and the whole set is applied in one pass.
+offer set acts only through its net amount per (payer, payee, strategy):
+each operation nets it once into a table keyed by index triples (``_net``)
+and builds one canonical ``OfferSet`` from a table (``_canonical``).
+Applying a set adds one payment vector per (payee, strategy) in one pass.
 
 Offer-induced transformations commute, the empty offer set is the identity,
 and every offer set has an inverse realizable with nonnegative payments, so
 the transformations of a fixed strategy space form a commutative group.
-The inverse of a single offer (p pays q amount d when q plays s) is built
-from two unconditional transfers that cancel: p additionally offers d on
-each of q's *other* strategies (so p pays q the amount d no matter what),
-and q offers d back to p on *every* one of p's strategies.
+The inverse of one net amount is two unconditional transfers that cancel
+(``_undo``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import Game, StrategySpace, _add_separable, as_rational
 from .errors import NameMismatch, SelfOffer, ShapeMismatch
+
+_Net = dict[tuple[int, int, int], Fraction]
 
 __all__ = [
     "Offer",
@@ -83,12 +84,50 @@ class OfferSet:
     def __len__(self) -> int:
         return len(self.offers)
 
-    def _key(self, offer: Offer) -> tuple[int, int, int]:
-        return (
-            self.space.player_index(offer.payer),
-            self.space.player_index(offer.payee),
-            self.space.strategy_index(offer.payee, offer.payee_strategy),
+
+def _net(space: StrategySpace, offers: Iterable[Offer]) -> _Net:
+    """The offers' amounts summed per (payer, payee, payee strategy) index
+    triple; an unknown name raises as ``OfferSet`` does."""
+    net: _Net = {}
+    for offer in offers:
+        key = (
+            space.player_index(offer.payer),
+            space.player_index(offer.payee),
+            space.strategy_index(offer.payee, offer.payee_strategy),
         )
+        net[key] = net[key] + offer.amount if key in net else offer.amount
+    return net
+
+
+def _canonical(space: StrategySpace, net: _Net) -> OfferSet:
+    """The one offer set of a net table: its nonzero amounts, sorted by
+    (payer, payee, strategy) index."""
+    players, strategies = space.players, space.strategies
+    offers = (
+        Offer(players[p], players[q], strategies[q][s], d)
+        for (p, q, s), d in sorted(net.items())
+        if d != 0
+    )
+    return OfferSet(space, tuple(offers))
+
+
+def _undo(space: StrategySpace, net: _Net, table: _Net) -> _Net:
+    """Add into ``table`` the net amounts of the offer set that undoes
+    ``net``, and return it.
+
+    For payer p, payee q, strategy s, amount d: p offers d on each of q's
+    other strategies (making p's transfer to q unconditional, i.e. a constant
+    shift), and q offers d back to p on every p strategy (an equal constant
+    shift the other way).  The composition with the original offer changes
+    nothing.  Amounts stay nonnegative whenever d >= 0.
+    """
+    counts = space.shape.strategy_counts
+    for (p, q, s), d in net.items():
+        keys = [(p, q, t) for t in range(counts[q]) if t != s]
+        keys += [(q, p, u) for u in range(counts[p])]
+        for key in keys:
+            table[key] = table[key] + d if key in table else d
+    return table
 
 
 def canonicalize(offer_set: OfferSet) -> OfferSet:
@@ -98,17 +137,7 @@ def canonicalize(offer_set: OfferSet) -> OfferSet:
     and the result is sorted by (payer, payee, strategy) index.  Two offer
     sets induce the same transformation iff they canonicalize identically.
     """
-    space = offer_set.space
-    net: dict[tuple[int, int, int], Fraction] = {}
-    for offer in offer_set:
-        key = offer_set._key(offer)
-        net[key] = net.get(key, Fraction(0)) + offer.amount
-    offers = tuple(
-        Offer(space.players[p], space.players[q], space.strategies[q][s], amount)
-        for (p, q, s), amount in sorted(net.items())
-        if amount != 0
-    )
-    return OfferSet(space, offers)
+    return _canonical(offer_set.space, _net(offer_set.space, offer_set))
 
 
 def apply_offer(game: Game, offer: Offer) -> Game:
@@ -133,37 +162,19 @@ def apply_offer_set(game: Game, offer_set: OfferSet) -> Game:
         raise NameMismatch("offer set and game disagree on player or strategy names")
     zero = (Fraction(0),) * len(game.players)
     steps = [[list(zero) for _ in row] for row in game.strategies]
-    for offer in offer_set:
-        payer, payee, strategy = offer_set._key(offer)
-        steps[payee][strategy][payer] -= offer.amount
-        steps[payee][strategy][payee] += offer.amount
+    for (payer, payee, strategy), amount in _net(offer_set.space, offer_set).items():
+        steps[payee][strategy][payer] -= amount
+        steps[payee][strategy][payee] += amount
     return _add_separable(game, zero, steps)
 
 
 def invert_offer(offer: Offer, space: StrategySpace) -> OfferSet:
-    """The offer set that undoes a single offer, in canonical form.
-
-    For payer p, payee q, strategy s, amount d: p offers d on each of q's
-    other strategies (making p's transfer to q unconditional, i.e. a constant
-    shift), and q offers d back to p on every p strategy (an equal constant
-    shift the other way).  The composition with the original offer changes
-    nothing.  Amounts stay nonnegative whenever d >= 0.
-    """
-    payee_row = space.strategies[space.player_index(offer.payee)]
-    payer_row = space.strategies[space.player_index(offer.payer)]
-    undo = [
-        Offer(offer.payer, offer.payee, other, offer.amount)
-        for other in payee_row
-        if other != offer.payee_strategy
-    ]
-    undo += [Offer(offer.payee, offer.payer, own, offer.amount) for own in payer_row]
-    return canonicalize(OfferSet(space, tuple(undo)))
+    """The offer set that undoes a single offer, in canonical form (see
+    ``_undo``).  Raises as ``OfferSet`` does on names outside the space."""
+    return _canonical(space, _undo(space, _net(space, (offer,)), {}))
 
 
 def invert_offer_set(offer_set: OfferSet) -> OfferSet:
     """The offer set that undoes every offer in the set, in canonical form."""
     space = offer_set.space
-    undo: list[Offer] = []
-    for offer in offer_set:
-        undo.extend(invert_offer(offer, space))
-    return canonicalize(OfferSet(space, tuple(undo)))
+    return _canonical(space, _undo(space, _net(space, offer_set), {}))

@@ -40,7 +40,7 @@ from .errors import (
     NonpositiveMargin,
     NotEquivalent,
 )
-from .offers import Offer, OfferSet, canonicalize, invert_offer
+from .offers import OfferSet, _canonical, _Net, _net, _undo
 
 __all__ = [
     "SynthesisResult",
@@ -76,6 +76,7 @@ def synthesize_offers(source: Game, target: Game) -> SynthesisResult:
     player q ≥ 1 is fixed up to a constant; that constant is pinned by
     setting the amount on q's last strategy to zero.  The blocks paying the
     first player then follow from each payer's own difference along axis 0.
+    The amounts go straight into the net table e[payer, payee, strategy].
 
     The check and the star readout share one difference view built from the
     games' integer views (``Game._scaled``); only the star's values become
@@ -92,51 +93,44 @@ def synthesize_offers(source: Game, target: Game) -> SynthesisResult:
     # star[j][k][v]: player j's difference at (0,…,0) with axis k set to v
     star = _star_readout(space.shape, scales, columns)
 
-    # e[payer, payee][t]: net amount offered on the payee's strategy t
-    e: dict[tuple[int, int], list[Fraction]] = {}
+    # e[payer, payee, t]: net amount offered on the payee's strategy t
+    e: _Net = {}
     for q in range(1, n):
         for p in range(n):
             if p != q:
                 axis = star[p][q]
-                e[p, q] = [axis[-1] - c for c in axis]
+                for t, c in enumerate(axis):
+                    e[p, q, t] = axis[-1] - c
     for p in range(1, n):
         # at (0,…,0) with axis 0 set to t, player p receives every
         # e[k, p, 0] and pays e[p, 0, t] plus every other e[p, k, 0]
-        received = sum(e[k, p][0] for k in range(n) if k != p)
-        paid = sum(e[p, k][0] for k in range(1, n) if k != p)
-        e[p, 0] = [received - paid - c for c in star[p][0]]
+        received = sum(e[k, p, 0] for k in range(n) if k != p)
+        paid = sum(e[p, k, 0] for k in range(1, n) if k != p)
+        for t, c in enumerate(star[p][0]):
+            e[p, 0, t] = received - paid - c
 
-    offers = tuple(
-        Offer(players[p], players[q], strategies[q][t], amount)
-        for (p, q), amounts in e.items()
-        for t, amount in enumerate(amounts)
-    )
     pinned = tuple(
         (f"{players[p]}->{players[q]}/{strategies[q][-1]}", Fraction(0))
         for q in range(1, n)
         for p in range(n)
         if p != q
     )
-    return SynthesisResult(canonicalize(OfferSet(space, offers)), pinned)
+    return SynthesisResult(_canonical(space, e), pinned)
 
 
 def nonnegative_decomposition(offer_set: OfferSet) -> OfferSet:
     """Rewrite an offer set with nonnegative amounts only.
 
-    Each net negative offer of amount -d is replaced by the inverse of its
-    positive mirror: the payer offers d on each of the payee's other
-    strategies and the payee offers d back on every payer strategy.  The
+    The set is netted once.  Positive net amounts are kept; each negative
+    net amount -d is replaced by the inverse of its positive mirror (the
+    payer offers d on each of the payee's other strategies and the payee
+    offers d back on every payer strategy), added into the same table.  The
     replacement induces the same transformation on every game of the shape.
     """
     space = offer_set.space
-    out: list[Offer] = []
-    for offer in canonicalize(offer_set):
-        if offer.amount >= 0:
-            out.append(offer)
-        else:
-            mirror = Offer(offer.payer, offer.payee, offer.payee_strategy, -offer.amount)
-            out.extend(invert_offer(mirror, space))
-    return canonicalize(OfferSet(space, tuple(out)))
+    net = _net(space, offer_set)
+    positive = {key: d for key, d in net.items() if d > 0}
+    return _canonical(space, _undo(space, {key: -d for key, d in net.items() if d < 0}, positive))
 
 
 def make_profile_dominant(
@@ -164,11 +158,10 @@ def make_profile_dominant(
     except (ArityMismatch, IndexOutOfRange) as exc:
         raise InvalidProfile(str(exc)) from None
 
-    space = game.space
     n = shape.player_count
     counts, strides = shape.strategy_counts, shape.strides
     scales, rows = game._scaled
-    offers: list[Offer] = []
+    net: _Net = {}
     for k in range(n):
         designated = profile[k]
         stride = strides[k]
@@ -181,13 +174,5 @@ def make_profile_dominant(
             max(rows[flat + other][k] for other in others) - rows[flat + designated * stride][k]
             for flat in _opposing_flats(shape, k)
         )
-        amount = max(Fraction(0), Fraction(gap, scales[k]) + margin)
-        offers.append(
-            Offer(
-                space.players[(k + 1) % n],
-                space.players[k],
-                space.strategies[k][designated],
-                amount,
-            )
-        )
-    return canonicalize(OfferSet(space, tuple(offers)))
+        net[(k + 1) % n, k, designated] = max(Fraction(0), Fraction(gap, scales[k]) + margin)
+    return _canonical(game.space, net)

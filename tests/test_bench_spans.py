@@ -1,0 +1,59 @@
+"""The benchmark's layer hooks (``bench/spans.py``) must keep naming real
+library functions: a layer that is moved or renamed would otherwise only
+break a traced benchmark run."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import preplay.cli  # noqa: F401  (instrument wraps every loaded preplay module)
+from preplay import Offer, OfferSet, core, offers
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_layer_names_a_callable(spans):
+    for name in spans.LAYERS:
+        module, attr = name.split(".")
+        owner = importlib.import_module(f"preplay.{module}")
+        assert callable(getattr(owner, attr, None)), name
+
+
+def layer_attributes(spans):
+    attrs = {name.split(".")[1] for name in spans.LAYERS}
+    held = {
+        (module_name, attr): getattr(module, attr)
+        for module_name, module in sys.modules.items()
+        if module_name.split(".")[0] == "preplay"
+        for attr in attrs
+        if hasattr(module, attr)
+    }
+    held["Game.__init__"] = core.Game.__dict__["__init__"]
+    return held
+
+
+def test_instrument_records_a_span_and_restores_every_layer(spans, m0):
+    before = layer_attributes(spans)
+    offer_set = OfferSet(m0.space, (Offer("I", "II", "C", 1),))
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        offers.apply_offer_set(m0, offer_set)
+    by_name = {span.name: span for span in tracer.spans}
+    apply = by_name["offers.apply_offer_set"]
+    assert apply.counts == {"cell_updates": 2}
+    assert by_name["core.Game"].parent == apply.id
+    after = layer_attributes(spans)
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
