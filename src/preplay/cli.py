@@ -91,11 +91,21 @@ def _expect_object(node, source: str, location: str) -> dict:
     return node
 
 
-def _expect_list(node, source: str, location: str, length: Optional[int] = None) -> list:
+def _where(location: Union[str, tuple[int, ...]]) -> str:
+    """A location as messages name it; a tuple is an index path under
+    ``payoffs``, formatted only when an error names it."""
+    if isinstance(location, str):
+        return location
+    return "payoffs" + "".join(f"[{i}]" for i in location)
+
+
+def _expect_list(
+    node, source: str, location: Union[str, tuple[int, ...]], length: Optional[int] = None
+) -> list:
     if not isinstance(node, list):
-        raise ParseError(source, location, f"expected an array, got {type(node).__name__}")
+        raise ParseError(source, _where(location), f"expected an array, got {type(node).__name__}")
     if length is not None and len(node) != length:
-        raise ParseError(source, location, f"expected {length} elements, got {len(node)}")
+        raise ParseError(source, _where(location), f"expected {length} elements, got {len(node)}")
     return node
 
 
@@ -111,17 +121,17 @@ def _expect_string(node, source: str, location: str) -> str:
     return node
 
 
-def _expect_rational(node, source: str, location: str) -> Fraction:
+def _expect_rational(node, source: str, location: Union[str, tuple[int, ...]]) -> Fraction:
     if isinstance(node, bool) or not isinstance(node, (int, str)):
         raise ParseError(
             source,
-            location,
+            _where(location),
             f"expected an integer or a rational string, got {json.dumps(node)}",
         )
     try:
         return as_rational(node)
     except ValueError:
-        raise ParseError(source, location, f"not a rational: {json.dumps(node)}") from None
+        raise ParseError(source, _where(location), f"not a rational: {json.dumps(node)}") from None
 
 
 def _check_schema(doc: dict, source: str) -> None:
@@ -154,20 +164,20 @@ def _parse_frame(doc: dict, source: str) -> StrategySpace:
 
 
 def _walk_payoffs(node, space: StrategySpace, source: str, visit) -> None:
-    """Drive ``visit(profile, cell_node, location)`` over the nested payoff
-    arrays, one nesting level per player."""
+    """Drive ``visit(profile, cell_node)`` over the nested payoff arrays, one
+    nesting level per player; the profile is the cell's index path."""
     counts = space.shape.strategy_counts
 
-    def walk(node, prefix: tuple[int, ...], location: str) -> None:
+    def walk(node, prefix: tuple[int, ...]) -> None:
         depth = len(prefix)
         if depth == len(counts):
-            visit(prefix, node, location)
+            visit(prefix, node)
             return
-        children = _expect_list(node, source, location, counts[depth])
+        children = _expect_list(node, source, prefix, counts[depth])
         for i, child in enumerate(children):
-            walk(child, prefix + (i,), f"{location}[{i}]")
+            walk(child, prefix + (i,))
 
-    walk(node, (), "payoffs")
+    walk(node, ())
 
 
 def parse_game(data: Union[str, bytes], *, source: str = "<game>") -> Game:
@@ -178,12 +188,10 @@ def parse_game(data: Union[str, bytes], *, source: str = "<game>") -> Game:
     n = len(space.players)
     cells: list[tuple[Fraction, ...]] = []
 
-    def visit(profile, node, location):
-        values = _expect_list(node, source, location, n)
+    def visit(profile, node):
+        values = _expect_list(node, source, profile, n)
         cells.append(
-            tuple(
-                _expect_rational(v, source, f"{location}[{i}]") for i, v in enumerate(values)
-            )
+            tuple(_expect_rational(v, source, (*profile, i)) for i, v in enumerate(values))
         )
 
     _walk_payoffs(doc.get("payoffs"), space, source, visit)
@@ -301,12 +309,12 @@ def parse_seed_assignments(
     n = len(space.players)
     assignments: dict[Profile, tuple[Fraction, ...]] = {}
 
-    def visit(profile, node, location):
+    def visit(profile, node):
         if node is None:
             return
-        values = _expect_list(node, source, location, n)
+        values = _expect_list(node, source, profile, n)
         assignments[profile] = tuple(
-            _expect_rational(v, source, f"{location}[{i}]") for i, v in enumerate(values)
+            _expect_rational(v, source, (*profile, i)) for i, v in enumerate(values)
         )
 
     _walk_payoffs(doc.get("payoffs"), space, source, visit)

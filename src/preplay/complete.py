@@ -9,7 +9,8 @@ the base b every profile p satisfies
     c(p) = c(b) + sum over axes k of [c(b with axis k set to p_k) - c(b)]
 
 and the completion is read straight off the star as an outer sum over the
-axes, built in row-major order.
+axes, built in row-major order on Python int pairs by the same kernel that
+applies offers.
 """
 
 from __future__ import annotations

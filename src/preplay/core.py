@@ -6,7 +6,10 @@ package, all payment amounts) are ``fractions.Fraction`` values, so every
 transformation and every equality test is exact; nothing is ever rounded.
 Each game also caches its payoffs as Python ints over one common denominator
 per player (``Game._scaled``); the analysis kernels, the reachability check
-and synthesis read that integer view instead of the ``Fraction``s.
+and synthesis read that integer view instead of the ``Fraction``s.  Apply
+and completion write a game through one outer-sum kernel
+(``_add_separable``), which adds on Python int pairs, one player at a time,
+and never reads the view.
 
 Profiles are tuples of 0-based strategy indices, one per player, in player
 order.  User-facing messages render indices 1-based.
@@ -134,6 +137,11 @@ class GameShape:
 
     def validate_profile(self, profile: Sequence[int]) -> Profile:
         profile = tuple(profile)
+        for k, index in enumerate(profile):
+            if not isinstance(index, int):
+                raise IndexOutOfRange(
+                    f"profile entry {index!r} for player {k + 1} is not a strategy index"
+                )
         if len(profile) != self.player_count:
             raise ArityMismatch(
                 f"profile {format_profile(profile)} has {len(profile)} entries "
@@ -295,14 +303,27 @@ def _add_separable(
     game: Game, origin: Sequence[Fraction], steps: Sequence[Sequence[Sequence[Fraction]]]
 ) -> Game:
     """``game`` with ``origin + sum_k steps[k][p_k]`` added to the payoff vector
-    at every profile p, expanded one axis at a time in row-major order."""
-    deltas = [origin]
-    for axis in steps:
-        deltas = [tuple(x + y for x, y in zip(d, s)) for d in deltas for s in axis]
-    payoffs = tuple(
-        tuple(v + x for v, x in zip(cell, delta)) for cell, delta in zip(game.payoffs, deltas)
-    )
-    return Game(game.players, game.strategies, payoffs)
+    at every profile p.
+
+    Each player's column is expanded one axis at a time in row-major order
+    as unreduced int pairs ``(a, b)``, so a cell's ``b`` is the product of
+    only its own n + 1 step denominators, and each output payoff is one
+    ``Fraction`` built from its pair and the old payoff.  The game's
+    integer view ``_scaled`` is never read.
+    """
+    columns = []
+    for k, column in enumerate(zip(*game.payoffs)):
+        pairs = [(origin[k].numerator, origin[k].denominator)]
+        for axis in steps:
+            reads = [(s[k].numerator, s[k].denominator) for s in axis]
+            pairs = [(a * sd + sn * b, b * sd) for a, b in pairs for sn, sd in reads]
+        columns.append(
+            [
+                Fraction(v.numerator * b + a * v.denominator, v.denominator * b)
+                for v, (a, b) in zip(column, pairs)
+            ]
+        )
+    return Game(game.players, game.strategies, tuple(zip(*columns)))
 
 
 def _opposing_flats(shape: GameShape, k: int) -> list[int]:

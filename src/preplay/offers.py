@@ -7,7 +7,8 @@ conditional on the payee's choice only, never on the payer's own.  So an
 offer set acts only through its net amount per (payer, payee, strategy):
 each operation nets it once into a table keyed by index triples (``_net``)
 and builds one canonical ``OfferSet`` from a table (``_canonical``).
-Applying a set adds one payment vector per (payee, strategy) in one pass.
+Applying a set adds one payment vector per (payee, strategy) in one pass of
+the outer-sum kernel, which sums them on Python int pairs.
 
 Offer-induced transformations commute, the empty offer set is the identity,
 and every offer set has an inverse realizable with nonnegative payments, so

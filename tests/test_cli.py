@@ -166,6 +166,42 @@ def test_parse_seed_assignments(m0):
         parse_seed_assignments(json.dumps(doc), m0)
 
 
+CUBE_DOC = {
+    "schema": 1,
+    "players": ["A", "B", "C"],
+    "strategies": [["a1", "a2"], ["b1", "b2"], ["c1", "c2"]],
+    "payoffs": [
+        [[[str(i), str(j), str(k)] for k in range(2)] for j in range(2)] for i in range(2)
+    ],
+}
+
+# (edit of the 2x2x2 document, the full message it must raise)
+PAYOFF_ERRORS = [
+    (lambda p: p[1].pop(), "{}: payoffs[1]: expected 2 elements, got 1"),
+    (lambda p: p[0][1].append(["0", "0", "0"]), "{}: payoffs[0][1]: expected 2 elements, got 3"),
+    (lambda p: p[1].__setitem__(0, "row"), "{}: payoffs[1][0]: expected an array, got str"),
+    (lambda p: p[1][0][1].__setitem__(1, "x"), '{}: payoffs[1][0][1][1]: not a rational: "x"'),
+    (
+        lambda p: p[0][1][0].__setitem__(2, 0.5),
+        "{}: payoffs[0][1][0][2]: expected an integer or a rational string, got 0.5",
+    ),
+    (lambda p: p[0][0][1].pop(), "{}: payoffs[0][0][1]: expected 3 elements, got 2"),
+    (lambda p: p.clear(), "{}: payoffs: expected 2 elements, got 0"),
+]
+
+
+@pytest.mark.parametrize("edit, message", PAYOFF_ERRORS)
+def test_payoff_errors_name_the_element_in_both_documents(edit, message):
+    doc = copy.deepcopy(CUBE_DOC)
+    edit(doc["payoffs"])
+    with pytest.raises(ParseError) as info:
+        parse_game(json.dumps(doc), source="g.json")
+    assert str(info.value) == message.format("g.json")
+    with pytest.raises(ParseError) as info:
+        parse_seed_assignments(json.dumps(doc), parse_game(json.dumps(CUBE_DOC)), source="s.json")
+    assert str(info.value) == message.format("s.json")
+
+
 # ---------------------------------------------------------------------------
 # commands and exit codes
 

@@ -206,6 +206,17 @@ def test_profile_validation(m0):
         payoff_sum(m0, (-1, 0))
 
 
+@pytest.mark.parametrize("entry", [0.5, 1.0, "0", None])
+def test_payoff_rejects_a_non_integer_entry(m0, entry):
+    with pytest.raises(IndexOutOfRange, match="is not a strategy index"):
+        m0.payoff((entry, 0))
+
+
+def test_profile_names_rejects_a_non_integer_entry(m0):
+    with pytest.raises(IndexOutOfRange, match="entry 1.0 for player 1 is not a strategy index"):
+        m0.space.profile_names((1.0, 0))
+
+
 def test_flat_index_is_injective():
     shape = GameShape((2, 3, 4))
     flats = {shape.flat_index(p) for p in shape.profiles()}

@@ -1,0 +1,174 @@
+"""The outer-sum kernel behind apply and completion, against its Fraction
+reference: whole payoff tuples, every payoff a Fraction."""
+
+import random
+from fractions import Fraction
+from functools import cached_property
+
+import preplay.complete
+from preplay import (
+    Game,
+    Offer,
+    OfferSet,
+    Seed,
+    apply_offer,
+    apply_offer_set,
+    complete_from_seed,
+)
+from preplay.core import _add_separable
+from conftest import prime_denominator_game, random_game, random_offer_set, rational_game
+
+
+def fraction_add_separable(game, origin, steps):
+    """``game`` with ``origin + sum_k steps[k][p_k]`` added to the payoff vector
+    at every profile p, expanded one axis at a time in row-major order."""
+    deltas = [origin]
+    for axis in steps:
+        deltas = [tuple(x + y for x, y in zip(d, s)) for d in deltas for s in axis]
+    payoffs = tuple(
+        tuple(v + x for v, x in zip(cell, delta)) for cell, delta in zip(game.payoffs, deltas)
+    )
+    return Game(game.players, game.strategies, payoffs)
+
+
+def fraction_apply(game, offer_set):
+    """Apply by the reference kernel: one payment vector per (payee,
+    strategy), each offer moving its amount from payer to payee."""
+    space = game.space
+    zero = (Fraction(0),) * len(game.players)
+    steps = [[list(zero) for _ in row] for row in game.strategies]
+    for offer in offer_set:
+        payer = space.player_index(offer.payer)
+        payee = space.player_index(offer.payee)
+        strategy = space.strategy_index(offer.payee, offer.payee_strategy)
+        steps[payee][strategy][payer] -= offer.amount
+        steps[payee][strategy][payee] += offer.amount
+    return fraction_add_separable(game, zero, steps)
+
+
+def fraction_complete(monkeypatch, source, seed):
+    """``complete_from_seed`` with the reference kernel in place."""
+    with monkeypatch.context() as patch:
+        patch.setattr(preplay.complete, "_add_separable", fraction_add_separable)
+        return complete_from_seed(source, seed)
+
+
+def assert_same_payoffs(game, reference):
+    assert game.payoffs == reference.payoffs
+    for cell, expected in zip(game.payoffs, reference.payoffs):
+        for value, want in zip(cell, expected):
+            assert type(value) is Fraction and value == want
+
+
+def own_star_seed(rng, source, target):
+    """The seed that fixes ``target`` on the star of a random base."""
+    base = tuple(rng.randrange(count) for count in source.shape.strategy_counts)
+    return Seed(base, {p: target.payoff(p) for p in source.shape.star(base)})
+
+
+def assert_kernel_matches(monkeypatch, rng, game, offer_set):
+    applied = apply_offer_set(game, offer_set)
+    assert_same_payoffs(applied, fraction_apply(game, offer_set))
+    for offer in offer_set:
+        assert_same_payoffs(apply_offer(game, offer), fraction_apply(game, (offer,)))
+    seed = own_star_seed(rng, game, applied)
+    completed = complete_from_seed(game, seed)
+    assert_same_payoffs(completed, fraction_complete(monkeypatch, game, seed))
+    assert_same_payoffs(completed, applied)
+
+
+def rational_offers(rng, space, count, denominator):
+    """``count`` offers between random players, amounts of either sign over
+    ``denominator(rng)``."""
+    n = len(space.players)
+    offers = []
+    for _ in range(count):
+        i, j = rng.sample(range(n), 2)
+        amount = Fraction(rng.randint(-20, 20), denominator(rng))
+        offers.append(
+            Offer(space.players[i], space.players[j], rng.choice(space.strategies[j]), amount)
+        )
+    return OfferSet(space, tuple(offers))
+
+
+def test_kernel_matches_reference_on_corpus(monkeypatch, corpus):
+    rng = random.Random(101)
+    for game, offer_set in corpus:
+        assert_kernel_matches(monkeypatch, rng, game, offer_set)
+
+
+def test_kernel_matches_reference_up_to_four_players(monkeypatch):
+    # single-strategy players; empty, cancelling, negative and rational sets
+    rng = random.Random(103)
+    shapes = set()
+    for _ in range(60):
+        game = rational_game(rng)
+        shapes.add(game.shape.strategy_counts)
+        offers = rational_offers(rng, game.space, rng.randint(1, 12), lambda r: r.randint(1, 7))
+        cancelling = offers.offers + tuple(
+            Offer(o.payer, o.payee, o.payee_strategy, -o.amount) for o in offers
+        )
+        negative = tuple(o for o in offers if o.amount < 0)
+        for subset in ((), offers.offers, cancelling, negative):
+            assert_kernel_matches(monkeypatch, rng, game, OfferSet(game.space, subset))
+    assert any(len(counts) == 4 for counts in shapes)
+    assert any(1 in counts for counts in shapes)
+
+
+def test_kernel_matches_reference_on_integers(monkeypatch):
+    rng = random.Random(107)
+    for _ in range(30):
+        game = random_game(rng, max_players=4, min_strats=1)
+        offers = rational_offers(rng, game.space, rng.randint(0, 12), lambda r: 1)
+        assert_kernel_matches(monkeypatch, rng, game, offers)
+
+
+def test_kernel_matches_reference_on_prime_denominators(monkeypatch):
+    rng = random.Random(109)
+    game = prime_denominator_game()
+    for denominator in (lambda r: 1, lambda r: r.randint(1, 7)):
+        offers = rational_offers(rng, game.space, 20, denominator)
+        assert_kernel_matches(monkeypatch, rng, game, offers)
+
+
+def test_kernel_matches_reference_on_long_denominators(monkeypatch):
+    rng = random.Random(113)
+    game = random_game(rng, min_players=3, max_players=3, max_strats=3)
+    long = lambda r: r.randrange(10**299, 10**300)
+    assert_kernel_matches(monkeypatch, rng, game, rational_offers(rng, game.space, 12, long))
+
+
+def test_kernel_adds_origin_and_steps_like_the_reference():
+    # arbitrary rational origins and steps, not only zero-sum ones
+    rng = random.Random(127)
+    value = lambda: Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+    for _ in range(40):
+        game = rational_game(rng)
+        n = len(game.players)
+        origin = tuple(value() for _ in range(n))
+        steps = [[tuple(value() for _ in range(n)) for _ in row] for row in game.strategies]
+        assert_same_payoffs(
+            _add_separable(game, origin, steps), fraction_add_separable(game, origin, steps)
+        )
+
+
+def test_writing_a_game_never_builds_the_integer_view(monkeypatch):
+    view = Game.__dict__["_scaled"]
+    computed = []
+
+    def counting(game):
+        computed.append(game)
+        return view.func(game)
+
+    patched = cached_property(counting)
+    patched.__set_name__(Game, "_scaled")
+    monkeypatch.setattr(Game, "_scaled", patched)
+    rng = random.Random(131)
+    for _ in range(10):
+        game = rational_game(rng)
+        offer_set = random_offer_set(rng, game.space, max_offers=8)
+        applied = apply_offer_set(game, offer_set)
+        for offer in offer_set:
+            apply_offer(game, offer)
+        complete_from_seed(game, own_star_seed(rng, game, applied))
+    assert computed == []

@@ -342,6 +342,8 @@ def test_dominate_profile_validation(m0):
         make_profile_dominant(m0, (0,), 1)
     with pytest.raises(InvalidProfile):
         make_profile_dominant(m0, (0, 2), 1)
+    with pytest.raises(InvalidProfile, match="profile entry 1.0 for player 1"):
+        make_profile_dominant(m0, (1.0, 0), 1)
 
 
 def test_dominate_achieves_margin_everywhere():
