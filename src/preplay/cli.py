@@ -34,6 +34,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Union
 
@@ -91,21 +92,11 @@ def _expect_object(node, source: str, location: str) -> dict:
     return node
 
 
-def _where(location: Union[str, tuple[int, ...]]) -> str:
-    """A location as messages name it; a tuple is an index path under
-    ``payoffs``, formatted only when an error names it."""
-    if isinstance(location, str):
-        return location
-    return "payoffs" + "".join(f"[{i}]" for i in location)
-
-
-def _expect_list(
-    node, source: str, location: Union[str, tuple[int, ...]], length: Optional[int] = None
-) -> list:
+def _expect_list(node, source: str, location: str, length: Optional[int] = None) -> list:
     if not isinstance(node, list):
-        raise ParseError(source, _where(location), f"expected an array, got {type(node).__name__}")
+        raise ParseError(source, location, f"expected an array, got {type(node).__name__}")
     if length is not None and len(node) != length:
-        raise ParseError(source, _where(location), f"expected {length} elements, got {len(node)}")
+        raise ParseError(source, location, f"expected {length} elements, got {len(node)}")
     return node
 
 
@@ -121,17 +112,25 @@ def _expect_string(node, source: str, location: str) -> str:
     return node
 
 
-def _expect_rational(node, source: str, location: Union[str, tuple[int, ...]]) -> Fraction:
-    if isinstance(node, bool) or not isinstance(node, (int, str)):
-        raise ParseError(
-            source,
-            _where(location),
-            f"expected an integer or a rational string, got {json.dumps(node)}",
-        )
+class _Fault(Exception):
+    """A payoff or amount that is not what the grammar allows: the message a
+    ``ParseError`` shows, and, for a payoff, its index path under
+    ``payoffs``, collected innermost first while the walk unwinds."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.message = message
+        self.path: list[int] = []
+
+
+def _rational(node) -> Fraction:
+    """A rational as JSON gives it: an int or a string, never a bool or float."""
+    if type(node) is not int and type(node) is not str:
+        raise _Fault(f"expected an integer or a rational string, got {json.dumps(node)}")
     try:
         return as_rational(node)
     except ValueError:
-        raise ParseError(source, _where(location), f"not a rational: {json.dumps(node)}") from None
+        raise _Fault(f"not a rational: {json.dumps(node)}") from None
 
 
 def _check_schema(doc: dict, source: str) -> None:
@@ -163,21 +162,66 @@ def _parse_frame(doc: dict, source: str) -> StrategySpace:
         raise ParseError(source, "players/strategies", str(exc)) from None
 
 
-def _walk_payoffs(node, space: StrategySpace, source: str, visit) -> None:
-    """Drive ``visit(profile, cell_node)`` over the nested payoff arrays, one
-    nesting level per player; the profile is the cell's index path."""
+def _array_fault(node, length: int) -> _Fault:
+    if not isinstance(node, list):
+        return _Fault(f"expected an array, got {type(node).__name__}")
+    return _Fault(f"expected {length} elements, got {len(node)}")
+
+
+def _read_payoffs(node, space: StrategySpace, source: str, nulls: bool = False) -> list:
+    """The cells of a document's ``payoffs`` in row-major order: each a tuple
+    of ``Fraction``s, or ``None`` for a ``null`` cell where ``nulls`` admits
+    one.
+
+    One depth-first walk checks each array's type and length before its
+    elements, so the fault reported is the first in document order.  Each
+    distinct raw value is parsed once, through a memo keyed by the value
+    itself; only exact ints and strings reach it, since ``true`` and ``1.0``
+    equal ``1`` and hash alike.  A fault's location is built only when it is
+    raised, from the indices collected as the walk unwinds.
+    """
     counts = space.shape.strategy_counts
+    n = len(counts)
+    last = n - 1
+    memo: dict = {}
+    cells: list = []
+    append = cells.append
 
-    def walk(node, prefix: tuple[int, ...]) -> None:
-        depth = len(prefix)
-        if depth == len(counts):
-            visit(prefix, node)
-            return
-        children = _expect_list(node, source, prefix, counts[depth])
-        for i, child in enumerate(children):
-            walk(child, prefix + (i,))
+    def walk(node, depth: int) -> None:
+        if type(node) is not list or len(node) != counts[depth]:
+            raise _array_fault(node, counts[depth])
+        try:
+            if depth < last:
+                for i, child in enumerate(node):
+                    walk(child, depth + 1)
+                return
+            for i, cell in enumerate(node):
+                if type(cell) is list and len(cell) == n:
+                    values = []
+                    for v in cell:
+                        r = memo.get(v) if type(v) is int or type(v) is str else None
+                        if r is None:
+                            try:
+                                r = memo[v] = _rational(v)
+                            except _Fault as fault:
+                                fault.path.append(len(values))
+                                raise
+                        values.append(r)
+                    append(tuple(values))
+                elif cell is None and nulls:
+                    append(None)
+                else:
+                    raise _array_fault(cell, n)
+        except _Fault as fault:
+            fault.path.append(i)
+            raise
 
-    walk(node, ())
+    try:
+        walk(node, 0)
+    except _Fault as fault:
+        location = "payoffs" + "".join(f"[{i}]" for i in reversed(fault.path))
+        raise ParseError(source, location, fault.message) from None
+    return cells
 
 
 def parse_game(data: Union[str, bytes], *, source: str = "<game>") -> Game:
@@ -185,18 +229,9 @@ def parse_game(data: Union[str, bytes], *, source: str = "<game>") -> Game:
     doc = _expect_object(_load_json(data, source), source, "document")
     _check_schema(doc, source)
     space = _parse_frame(doc, source)
-    n = len(space.players)
-    cells: list[tuple[Fraction, ...]] = []
-
-    def visit(profile, node):
-        values = _expect_list(node, source, profile, n)
-        cells.append(
-            tuple(_expect_rational(v, source, (*profile, i)) for i, v in enumerate(values))
-        )
-
-    _walk_payoffs(doc.get("payoffs"), space, source, visit)
+    cells = _read_payoffs(doc.get("payoffs"), space, source)
     _check_scales(cells, source)
-    return Game(space.players, space.strategies, tuple(cells))
+    return Game(space.players, space.strategies, tuple(cells), _space=space)
 
 
 def _check_scales(cells: list[tuple[Fraction, ...]], source: str) -> None:
@@ -221,24 +256,41 @@ def _render_rational(value: Fraction) -> str:
     return str(value)
 
 
+def _array(items: list[str], indent: int) -> str:
+    """A JSON array of items already written, laid out as
+    ``json.dumps(..., indent=2)`` lays out an array that opens ``indent``
+    spaces in."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
+
+
 def serialize_game(game: Game) -> str:
     """Deterministic game document; parse(serialize(g)) == g and
-    serialize(parse(serialize(...))) is a fixpoint."""
-    shape = game.shape
-    counts, strides = shape.strategy_counts, shape.strides
+    serialize(parse(serialize(...))) is a fixpoint.
 
-    def nest(axis: int, flat: int):
-        if axis == len(counts):
-            return [_render_rational(v) for v in game.payoffs[flat]]
-        return [nest(axis + 1, flat + i * strides[axis]) for i in range(counts[axis])]
-
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "players": list(game.players),
-        "strategies": [list(row) for row in game.strategies],
-        "payoffs": nest(0, 0),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    Written as ``json.dumps(doc, indent=2)`` writes it, without its
+    pure-Python encoder: names through the C string escaper, payoffs as
+    quoted ``str(Fraction)``, which holds only ``-``, digits and ``/``.
+    """
+    counts = game.shape.strategy_counts
+    n = len(counts)
+    # a cell opens 2n + 2 spaces in, one level per player below "payoffs"
+    pad = "\n" + " " * (2 * n + 4)
+    head, sep, tail = "[" + pad + '"', '",' + pad + '"', '"\n' + " " * (2 * n + 2) + "]"
+    rows = [head + sep.join(map(str, cell)) + tail for cell in game.payoffs]
+    for axis in reversed(range(n)):
+        m, indent = counts[axis], 2 * axis + 2
+        rows = [_array(rows[i : i + m], indent) for i in range(0, len(rows), m)]
+    name = encode_basestring_ascii
+    strategies = [_array([name(s) for s in row], 4) for row in game.strategies]
+    return (
+        f'{{\n  "schema": {SCHEMA_VERSION},\n'
+        f'  "players": {_array([name(p) for p in game.players], 2)},\n'
+        f'  "strategies": {_array(strategies, 2)},\n'
+        f'  "payoffs": {rows[0]}\n}}\n'
+    )
 
 
 def parse_offers(
@@ -263,7 +315,10 @@ def parse_offers(
         payer = _expect_string(entry.get("payer"), source, f"{location}.payer")
         payee = _expect_string(entry.get("payee"), source, f"{location}.payee")
         strategy = _expect_string(entry.get("strategy"), source, f"{location}.strategy")
-        amount = _expect_rational(entry.get("amount"), source, f"{location}.amount")
+        try:
+            amount = _rational(entry.get("amount"))
+        except _Fault as fault:
+            raise ParseError(source, f"{location}.amount", fault.message) from None
         if strict and amount < 0:
             raise ParseError(
                 source, f"{location}.amount", f"negative amount {amount} (strict mode)"
@@ -279,19 +334,14 @@ def parse_offers(
 
 
 def serialize_offers(offer_set: OfferSet) -> str:
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "offers": [
-            {
-                "payer": o.payer,
-                "payee": o.payee,
-                "strategy": o.payee_strategy,
-                "amount": _render_rational(o.amount),
-            }
-            for o in offer_set
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """An offer document, written as ``serialize_game`` writes a game."""
+    name = encode_basestring_ascii
+    offers = [
+        f'{{\n      "payer": {name(o.payer)},\n      "payee": {name(o.payee)},\n'
+        f'      "strategy": {name(o.payee_strategy)},\n      "amount": "{o.amount}"\n    }}'
+        for o in offer_set
+    ]
+    return f'{{\n  "schema": {SCHEMA_VERSION},\n  "offers": {_array(offers, 2)}\n}}\n'
 
 
 def parse_seed_assignments(
@@ -306,19 +356,8 @@ def parse_seed_assignments(
         raise ParseError(
             source, "players/strategies", "seed document does not match the game's frame"
         )
-    n = len(space.players)
-    assignments: dict[Profile, tuple[Fraction, ...]] = {}
-
-    def visit(profile, node):
-        if node is None:
-            return
-        values = _expect_list(node, source, profile, n)
-        assignments[profile] = tuple(
-            _expect_rational(v, source, (*profile, i)) for i, v in enumerate(values)
-        )
-
-    _walk_payoffs(doc.get("payoffs"), space, source, visit)
-    return assignments
+    cells = _read_payoffs(doc.get("payoffs"), space, source, nulls=True)
+    return {p: cell for p, cell in zip(space.shape.profiles(), cells) if cell is not None}
 
 
 # ---------------------------------------------------------------------------

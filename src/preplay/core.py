@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from itertools import chain, product
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     ArityMismatch,
@@ -246,15 +246,27 @@ class Game:
     players: tuple[str, ...]
     strategies: tuple[tuple[str, ...], ...]
     payoffs: tuple[PayoffVector, ...]
+    _: KW_ONLY
+    # the space a caller inside the package has validated this frame as
+    _space: InitVar[Optional[StrategySpace]] = None
 
-    def __post_init__(self):
-        space = StrategySpace(tuple(self.players), tuple(tuple(r) for r in self.strategies))
+    def __post_init__(self, _space: Optional[StrategySpace]):
+        space = _space
+        if space is None:
+            space = StrategySpace(tuple(self.players), tuple(tuple(r) for r in self.strategies))
         object.__setattr__(self, "players", space.players)
         object.__setattr__(self, "strategies", space.strategies)
         object.__setattr__(self, "space", space)
         size = space.shape.size
-        cells = tuple(tuple(as_rational(v) for v in cell) for cell in self.payoffs)
-        object.__setattr__(self, "payoffs", cells)
+        cells = self.payoffs
+        # cells that are already tuples of exact Fractions are kept as given
+        if not (
+            type(cells) is tuple
+            and set(map(type, cells)) == {tuple}
+            and set(map(type, chain.from_iterable(cells))) == {Fraction}
+        ):
+            cells = tuple(tuple(as_rational(v) for v in cell) for cell in cells)
+            object.__setattr__(self, "payoffs", cells)
         if len(cells) < size:
             raise MissingOutcome(f"{size} profiles but only {len(cells)} payoff vectors")
         if len(cells) > size:
@@ -323,7 +335,7 @@ def _add_separable(
                 for v, (a, b) in zip(column, pairs)
             ]
         )
-    return Game(game.players, game.strategies, tuple(zip(*columns)))
+    return Game(game.players, game.strategies, tuple(zip(*columns)), _space=game.space)
 
 
 def _opposing_flats(shape: GameShape, k: int) -> list[int]:
@@ -382,7 +394,8 @@ def make_game(
     if len(cells) != shape.size:
         missing_profile = next(p for p in shape.profiles() if shape.flat_index(p) not in cells)
         raise MissingOutcome(f"no payoff vector for profile {space.name_profile(missing_profile)}")
-    return Game(players, strategy_rows, tuple(cells[i] for i in range(shape.size)))
+    payoffs = tuple(cells[i] for i in range(shape.size))
+    return Game(space.players, space.strategies, payoffs, _space=space)
 
 
 def payoff_sum(game: Game, profile: Sequence[int]) -> Fraction:

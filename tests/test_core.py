@@ -20,6 +20,7 @@ from preplay import (
     make_game,
     payoff_sum,
 )
+from preplay.cli import parse_game, parse_seed_assignments, serialize_game
 from conftest import matching_pennies, pd_game
 
 
@@ -268,6 +269,22 @@ def test_game_keeps_the_frame_it_validated(monkeypatch):
     assert game.space.players == ("I", "II")
     assert len(built) == 1
     assert game.shape is game.space.shape
+
+    # each way in from names or documents validates its frame exactly once
+    document = serialize_game(game)
+    seed = document.replace('[\n        "1",\n        "1"\n      ]', "null")
+    calls = {
+        "make_game": lambda: pd_game(),
+        "parse_game": lambda: parse_game(document),
+        "parse_seed_assignments": lambda: parse_seed_assignments(seed, game),
+    }
+    for name, call in calls.items():
+        built.clear()
+        result = call()
+        assert len(built) == 1, name
+        if isinstance(result, Game):
+            assert result.space is built[0], name
+    assert (1, 1) not in parse_seed_assignments(seed, game)
 
 
 def test_strategy_space_lookup_errors():

@@ -172,10 +172,10 @@ def reference_serialize_offers(offer_set):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def outcome(parse, *args):
+def outcome(parse, *args, **kwargs):
     """What a parse returns, or the full message of the ParseError it raises."""
     try:
-        return parse(*args)
+        return parse(*args, **kwargs)
     except ParseError as exc:
         return f"ParseError: {exc}"
 
@@ -240,7 +240,11 @@ GAME_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("text, message", GAME_FAULTS)
+def located(faults):
+    return [message.split(": ")[1] for _, message in faults]
+
+
+@pytest.mark.parametrize("text, message", GAME_FAULTS, ids=located(GAME_FAULTS))
 def test_game_document_faults_are_reported_depth_first(text, message):
     with pytest.raises(ParseError) as info:
         parse_game(text, source="g.json")
@@ -267,15 +271,177 @@ SEED_FAULTS = [
         "s.json: payoffs[1][0]: expected an array, got NoneType",
     ),
     (
-        with_payoffs(CUBE_DOC, [[[None, [0, 0, 0]], [None, None]], [[None, None], [[0, 0, 0.0], 1]]]),
+        with_payoffs(
+            CUBE_DOC, [[[None, [0, 0, 0]], [None, None]], [[None, None], [[0, 0, 0.0], 1]]]
+        ),
         "s.json: payoffs[1][1][0][2]: expected an integer or a rational string, got 0.0",
     ),
 ]
 
 
-@pytest.mark.parametrize("text, message", SEED_FAULTS)
+@pytest.mark.parametrize("text, message", SEED_FAULTS, ids=located(SEED_FAULTS))
 def test_seed_document_faults_are_reported_depth_first(text, message):
     cube = parse_game(json.dumps(CUBE_DOC))
     with pytest.raises(ParseError) as info:
         parse_seed_assignments(text, cube, source="s.json")
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the parser against the per-cell walker
+
+
+def rational_forms(rng, value):
+    """``value`` as an int, an integer string, a ratio not in lowest terms or
+    a decimal string, whichever it can be written as."""
+    forms = [str(value), f"{value.numerator * 3}/{value.denominator * 3}"]
+    if value.denominator == 1:
+        forms += [value.numerator, f"+{value.numerator}" if value >= 0 else str(value)]
+    if 10**6 % value.denominator == 0:
+        scaled = abs(value.numerator) * (10**6 // value.denominator)
+        forms.append(f"{'-' if value < 0 else ''}{scaled // 10**6}.{scaled % 10**6:06d}")
+    return rng.choice(forms)
+
+
+def document_games():
+    rng = random.Random(20120806)
+    games = [random_game(rng) for _ in range(40)]
+    games += [rational_game(rng) for _ in range(40)]
+    games += [tie_game(rng) for _ in range(20)]
+    games += [constant_sum_game(rng) for _ in range(20)]
+    return games + [cube_game(), prime_denominator_game()]
+
+
+def payoff_paths(payoffs, prefix=()):
+    yield prefix
+    if isinstance(payoffs, list):
+        for i, child in enumerate(payoffs):
+            yield from payoff_paths(child, prefix + (i,))
+
+
+FAULTS = (True, False, 1.0, 0.5, None, "x", "1e3", "1/0", " 3", [], {}, "row", ["0"], 7)
+
+
+def mutate(rng, doc):
+    """Two to four edits at random places of a document's payoffs."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(2, 4)):
+        path = rng.choice(list(payoff_paths(doc["payoffs"])))
+        if not path:
+            continue
+        parent = doc["payoffs"]
+        for i in path[:-1]:
+            parent = parent[i]
+        action = rng.randrange(3)
+        if action == 0:
+            parent[path[-1]] = copy.deepcopy(rng.choice(FAULTS))
+        elif action == 1:
+            del parent[path[-1]]
+        else:
+            parent.append(copy.deepcopy(parent[path[-1]]))
+    return doc
+
+
+def test_parser_matches_the_per_cell_walker_on_documents():
+    rng = random.Random(1)
+    for game in document_games():
+        for doc in (
+            game_document(game),
+            game_document(game, lambda v: rational_forms(rng, v)),
+        ):
+            text = json.dumps(doc)
+            parsed = parse_game(text)
+            assert parsed == reference_parse_game(text) == game
+            assert all(type(v) is Fraction for cell in parsed.payoffs for v in cell)
+            seed = copy.deepcopy(doc)
+            for path in payoff_paths(seed["payoffs"]):
+                if len(path) == len(game.players) and rng.random() < 0.5:
+                    parent = seed["payoffs"]
+                    for i in path[:-1]:
+                        parent = parent[i]
+                    parent[path[-1]] = None
+            seed_text = json.dumps(seed)
+            assert parse_seed_assignments(seed_text, game) == reference_parse_seed(seed_text, game)
+
+
+def test_parser_faults_match_the_per_cell_walker():
+    rng = random.Random(2)
+    raised = 0
+    for game in document_games():
+        for _ in range(5):
+            text = json.dumps(mutate(rng, game_document(game, lambda v: rational_forms(rng, v))))
+            expected = outcome(reference_parse_game, text, source="g.json")
+            assert outcome(parse_game, text, source="g.json") == expected
+            assert outcome(parse_seed_assignments, text, game, source="s.json") == outcome(
+                reference_parse_seed, text, game, source="s.json"
+            )
+            raised += isinstance(expected, str)
+    assert raised > 400
+
+
+def test_parser_matches_the_per_cell_walker_on_the_corpus(corpus):
+    for game, _ in corpus:
+        text = serialize_game(game)
+        assert parse_game(text) == reference_parse_game(text) == game
+
+
+# ---------------------------------------------------------------------------
+# the writers against json.dumps(doc, indent=2)
+
+AWKWARD_NAMES = [
+    'say "hi"',
+    "back\\slash",
+    "tab\tnew\nline\x00\x1f\x7f",
+    "café 日本",
+    "\U0001f600 astral \U00010348",
+    "  ",
+    "/",
+    "",
+]
+
+
+def awkward_game(rng, names):
+    game = rational_game(rng)
+    players = tuple(f"{rng.choice(names)}#{i}" for i in range(len(game.players)))
+    strategies = tuple(
+        tuple(f"{rng.choice(names)}.{j}" for j in range(len(row))) for row in game.strategies
+    )
+    return Game(players, strategies, game.payoffs)
+
+
+def writer_games(corpus):
+    rng = random.Random(3)
+    games = [game for game, _ in corpus] + document_games()
+    games += [awkward_game(rng, AWKWARD_NAMES) for _ in range(40)]
+    # single-strategy players, alone and next to wider ones
+    games += [
+        Game(("A", "B"), (("x",), ("y",)), ((Fraction(1, 2), -3),)),
+        Game(("A", "B", "C"), (("x",), ("y", "z"), ("w",)), ((0, 1, 2), (-1, 3, Fraction(-5, 7)))),
+    ]
+    return games
+
+
+def test_game_writer_matches_json_dumps(corpus):
+    for game in writer_games(corpus):
+        assert serialize_game(game) == reference_serialize_game(game)
+
+
+def test_offer_writer_matches_json_dumps(corpus):
+    rng = random.Random(4)
+    sets = []
+    for game, offers in corpus:
+        sets += [offers, canonicalize(offers), invert_offer_set(offers)]
+        sets.append(nonnegative_decomposition(offers))
+    for game in writer_games(corpus)[-42:]:
+        space = game.space
+        players, strategies = space.players, space.strategies
+        offers = []
+        for _ in range(rng.randint(1, 6)):
+            p, q = rng.sample(range(len(players)), 2)
+            amount = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            offers.append(Offer(players[p], players[q], rng.choice(strategies[q]), amount))
+        sets += [OfferSet(space, tuple(offers)), OfferSet(space, ())]
+    assert any(len(s) == 0 for s in sets)
+    for offer_set in sets:
+        assert serialize_offers(offer_set) == reference_serialize_offers(offer_set)
+    assert serialize_offers(sets[-1]).endswith('"offers": []\n}\n')

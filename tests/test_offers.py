@@ -109,9 +109,9 @@ def test_apply_offer_set_builds_one_game(monkeypatch, m0):
     built = []
     validate = Game.__post_init__
 
-    def counting(game):
+    def counting(game, *frame):
         built.append(game)
-        validate(game)
+        validate(game, *frame)
 
     monkeypatch.setattr(Game, "__post_init__", counting)
     apply_offer_set(m0, OfferSet(m0.space, (offer("I", "II", "C", 1),) * 20))
