@@ -247,7 +247,8 @@ class Game:
     strategies: tuple[tuple[str, ...], ...]
     payoffs: tuple[PayoffVector, ...]
     _: KW_ONLY
-    # the space a caller inside the package has validated this frame as
+    # the frame's StrategySpace, where a caller inside the package has
+    # already validated it; the frame is then not checked a second time
     _space: InitVar[Optional[StrategySpace]] = None
 
     def __post_init__(self, _space: Optional[StrategySpace]):
