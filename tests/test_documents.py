@@ -251,11 +251,6 @@ def test_game_document_faults_are_reported_depth_first(text, message):
     assert str(info.value) == message
 
 
-def test_a_decimal_string_equal_to_a_seen_integer_is_read_on_its_own():
-    game = parse_game(with_payoffs(PD_DOC, [[["1", 1], [0, 5]], [[5, 0], [1, "1.0"]]]))
-    assert game.payoffs == ((1, 1), (0, 5), (5, 0), (1, 1))
-
-
 # (seed document for the 2x2x2 cube, the full message parse_seed_assignments raises)
 SEED_FAULTS = [
     (
