@@ -274,7 +274,7 @@ def test_game_keeps_the_frame_it_validated(monkeypatch):
     document = serialize_game(game)
     seed = document.replace('[\n        "1",\n        "1"\n      ]', "null")
     calls = {
-        "make_game": lambda: pd_game(),
+        "make_game": pd_game,
         "parse_game": lambda: parse_game(document),
         "parse_seed_assignments": lambda: parse_seed_assignments(seed, game),
     }

@@ -235,17 +235,3 @@ def test_canonical_sets_look_up_no_names(monkeypatch):
     # the input's names are looked up once, to net it; the output's never
     assert netting > 0 and len(lookups) == netting
     assert len(decomposed) > len(synthesized)
-
-
-@pytest.mark.parametrize(
-    "offer, error",
-    [
-        (Offer("I", "III", "C", 1), UnknownPlayer),
-        (Offer("III", "I", "C", 1), UnknownPlayer),
-        (Offer("I", "II", "E", 1), UnknownStrategy),
-    ],
-)
-def test_public_offer_sets_still_check_names(offer, error):
-    space = StrategySpace(("I", "II"), (("C", "D"), ("C", "D")))
-    with pytest.raises(error):
-        OfferSet(space, (offer,))

@@ -166,6 +166,8 @@ def test_repeated_offers_merge(m0):
 def test_offer_set_validates_names(m0):
     with pytest.raises(UnknownPlayer):
         OfferSet(m0.space, (offer("X", "II", "C", 1),))
+    with pytest.raises(UnknownPlayer):
+        OfferSet(m0.space, (offer("I", "X", "C", 1),))
     with pytest.raises(UnknownStrategy):
         OfferSet(m0.space, (offer("I", "II", "E", 1),))
 
