@@ -247,13 +247,13 @@ class Game:
     strategies: tuple[tuple[str, ...], ...]
     payoffs: tuple[PayoffVector, ...]
     _: KW_ONLY
-    # the frame's StrategySpace, where a caller inside the package has
-    # already validated it; the frame is then not checked a second time
+    # a StrategySpace a caller inside the package has already validated; it
+    # is used only if it names exactly the players and strategies given
     _space: InitVar[Optional[StrategySpace]] = None
 
     def __post_init__(self, _space: Optional[StrategySpace]):
         space = _space
-        if space is None:
+        if space is None or (space.players, space.strategies) != (self.players, self.strategies):
             space = StrategySpace(tuple(self.players), tuple(tuple(r) for r in self.strategies))
         object.__setattr__(self, "players", space.players)
         object.__setattr__(self, "strategies", space.strategies)

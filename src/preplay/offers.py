@@ -19,7 +19,7 @@ The inverse of one net amount is two unconditional transfers that cancel
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -67,20 +67,14 @@ class OfferSet:
 
     The space is carried along because ordering, inversion and serialization
     all need the name-to-index context.  Construction validates every offer's
-    names against the space, except in a set the package named from the
-    space's own index triples (``_canonical``).
+    names against the space.
     """
 
     space: StrategySpace
     offers: tuple[Offer, ...]
-    _: KW_ONLY
-    # set where the offers were named from the space's own index triples
-    _named: InitVar[bool] = False
 
-    def __post_init__(self, _named: bool):
+    def __post_init__(self):
         object.__setattr__(self, "offers", tuple(self.offers))
-        if _named:
-            return
         for offer in self.offers:
             self.space.player_index(offer.payer)
             self.space.strategy_index(offer.payee, offer.payee_strategy)
@@ -115,7 +109,7 @@ def _canonical(space: StrategySpace, net: _Net) -> OfferSet:
         for (p, q, s), d in sorted(net.items())
         if d != 0
     )
-    return OfferSet(space, tuple(offers), _named=True)
+    return OfferSet(space, tuple(offers))
 
 
 def _undo(space: StrategySpace, net: _Net, table: _Net) -> _Net:

@@ -286,6 +286,10 @@ def test_game_keeps_the_frame_it_validated(monkeypatch):
             assert result.space is built[0], name
     assert (1, 1) not in parse_seed_assignments(seed, game)
 
+    # a space given for another frame is not taken for this one
+    renamed = Game(("X", "Y"), game.strategies, game.payoffs, _space=game.space)
+    assert renamed.players == ("X", "Y") and renamed.space is not game.space
+
 
 def test_strategy_space_lookup_errors():
     space = StrategySpace(("I", "II"), (("C", "D"), ("C", "D")))

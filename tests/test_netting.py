@@ -26,7 +26,6 @@ from preplay import (
     nonnegative_decomposition,
     synthesize_offers,
 )
-from preplay.offers import _net
 from conftest import cube_game, pd_game, random_offer_set
 
 
@@ -197,9 +196,9 @@ def test_each_construction_builds_one_offer_set(monkeypatch):
     built = []
     validate = OfferSet.__post_init__
 
-    def counting(offer_set, *named):
+    def counting(offer_set):
         built.append(offer_set)
-        validate(offer_set, *named)
+        validate(offer_set)
 
     monkeypatch.setattr(OfferSet, "__post_init__", counting)
     calls = {
@@ -214,24 +213,3 @@ def test_each_construction_builds_one_offer_set(monkeypatch):
         built.clear()
         call()
         assert len(built) == 1, name
-
-
-def test_canonical_sets_look_up_no_names(monkeypatch):
-    game = cube_game()
-    offers = random_offer_set(random.Random(7), game.space, max_offers=12)
-    synthesized = synthesize_offers(game, apply_offer_set(game, offers)).offers
-    lookups = []
-    for name in ("player_index", "strategy_index"):
-        lookup = getattr(StrategySpace, name)
-        monkeypatch.setattr(
-            StrategySpace,
-            name,
-            lambda space, *args, lookup=lookup: lookups.append(args) or lookup(space, *args),
-        )
-    _net(game.space, synthesized)
-    netting = len(lookups)
-    lookups.clear()
-    decomposed = nonnegative_decomposition(synthesized)
-    # the input's names are looked up once, to net it; the output's never
-    assert netting > 0 and len(lookups) == netting
-    assert len(decomposed) > len(synthesized)
