@@ -11,6 +11,7 @@ constant-sum and Pareto structure).
 
 from .analyze import (
     AnalysisReport,
+    DominancePair,
     constant_sum,
     dominance,
     pareto_optimal,
@@ -77,6 +78,7 @@ __all__ = [
     "AnalysisReport",
     "ArityMismatch",
     "DiffTensor",
+    "DominancePair",
     "DuplicateName",
     "DuplicateOutcome",
     "EquivalenceVerdict",

@@ -5,8 +5,10 @@ common denominator per player, computed once per game.  One player's ints
 compare exactly as their ``Fraction``s do, so pure Nash equilibria,
 strict/weak dominance between one player's strategies and Pareto-optimal
 outcomes need no rational arithmetic at all; the constant-sum total is the
-one value converted back.  Nash and dominance walk one player's axis by its
-row-major stride; Pareto optimality is a sort-filter skyline.
+one value converted back.  Nash, dominance and the strictly dominant profile
+compare lists from one player's slice table (``core._slices``): one list per
+strategy, entry i of every list facing the same opposing profile.  Pareto
+optimality is a sort-filter skyline.
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import groupby
-from operator import ge, mul
-from typing import Callable, Mapping, Optional
+from operator import ge, gt, mul
+from typing import Mapping, Optional
 
-from .core import Game, Profile, _opposing_flats
+from .core import Game, Profile, _slices
 
 __all__ = [
     "AnalysisReport",
@@ -41,23 +42,20 @@ def pure_nash(game: Game) -> frozenset[Profile]:
     """Profiles where no player gains by a unilateral strategy change."""
     shape = game.shape
     counts, strides = shape.strategy_counts, shape.strides
-    _, cells = game._scaled
-    equilibria = []
-    for flat, profile in enumerate(shape.profiles()):
-        stable = True
-        for k, chosen in enumerate(profile):
-            current = cells[flat][k]
-            origin = flat - chosen * strides[k]
-            if any(
-                cells[origin + t * strides[k]][k] > current
-                for t in range(counts[k])
-                if t != chosen
-            ):
-                stable = False
-                break
-        if stable:
-            equilibria.append(profile)
-    return frozenset(equilibria)
+    stable = set(range(shape.size))
+    for k, stride in enumerate(strides):
+        lists, opposing = _slices(game, k)
+        best = list(map(max, zip(*lists)))
+        # a profile is a best response for k iff k's payoff there is the max facing it
+        stable &= {
+            flat + t * stride
+            for t, payoffs in enumerate(lists)
+            for flat, payoff, top in zip(opposing, payoffs, best)
+            if payoff == top
+        }
+    return frozenset(
+        tuple(flat // stride % count for stride, count in zip(strides, counts)) for flat in stable
+    )
 
 
 def dominance(game: Game, player: str) -> frozenset[DominancePair]:
@@ -68,36 +66,15 @@ def dominance(game: Game, player: str) -> frozenset[DominancePair]:
     """
     space = game.space
     k = space.player_index(player)
-    shape = game.shape
-    stride = shape.strides[k]
-    count = shape.strategy_counts[k]
     names = space.strategies[k]
-    _, cells = game._scaled
-    opposing = _opposing_flats(shape, k)
-
+    lists, _ = _slices(game, k)
     pairs = set()
-    for s in range(count):
-        for t in range(count):
-            if s == t:
-                continue
-            always_ge = always_gt = True
-            ever_gt = False
-            for flat in opposing:
-                a = cells[flat + s * stride][k]
-                b = cells[flat + t * stride][k]
-                if a < b:
-                    always_ge = False
-                    break
-                if a > b:
-                    ever_gt = True
-                else:
-                    always_gt = False
-            if not always_ge:
-                continue
-            if always_gt:
-                pairs.add((names[s], names[t], "strict"))
-            if ever_gt:
+    for s, a in enumerate(lists):
+        for t, b in enumerate(lists):
+            if s != t and a != b and all(map(ge, a, b)):
                 pairs.add((names[s], names[t], "weak"))
+                if all(map(gt, a, b)):
+                    pairs.add((names[s], names[t], "strict"))
     return frozenset(pairs)
 
 
@@ -145,26 +122,15 @@ def pareto_optimal(game: Game) -> frozenset[Profile]:
 def strictly_dominant_profile(game: Game) -> Optional[Profile]:
     """The profile of per-player strictly dominant strategies, if every
     player has one (single-strategy players qualify vacuously)."""
-    return _dominant_profile(game, partial(dominance, game))
-
-
-def _dominant_profile(
-    game: Game, pairs_of: Callable[[str], frozenset[DominancePair]]
-) -> Optional[Profile]:
-    """``strictly_dominant_profile`` reading each player's pairs from ``pairs_of``."""
-    space = game.space
     profile = []
-    for k, player in enumerate(space.players):
-        names = space.strategies[k]
-        pairs = pairs_of(player)
-        winners = [
-            s
-            for s in range(len(names))
-            if all((names[s], names[t], "strict") in pairs for t in range(len(names)) if t != s)
-        ]
-        if len(winners) != 1:
+    for k in range(game.shape.player_count):
+        lists, _ = _slices(game, k)
+        for s, a in enumerate(lists):
+            if all(all(map(gt, a, b)) for t, b in enumerate(lists) if t != s):
+                profile.append(s)
+                break
+        else:
             return None
-        profile.append(winners[0])
     return tuple(profile)
 
 
@@ -178,11 +144,10 @@ class AnalysisReport:
 
 
 def report(game: Game) -> AnalysisReport:
-    pairs = {player: dominance(game, player) for player in game.players}
     return AnalysisReport(
         pure_nash=pure_nash(game),
-        dominance=pairs,
+        dominance={player: dominance(game, player) for player in game.players},
         constant_sum=constant_sum(game),
         pareto_optimal=pareto_optimal(game),
-        strictly_dominant_profile=_dominant_profile(game, pairs.__getitem__),
+        strictly_dominant_profile=strictly_dominant_profile(game),
     )

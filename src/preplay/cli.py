@@ -252,10 +252,6 @@ def _check_scales(cells: list[tuple[Fraction, ...]], source: str) -> None:
         bits += scale.bit_length()
 
 
-def _render_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def _array(items: list[str], indent: int) -> str:
     """A JSON array of items already written, laid out as
     ``json.dumps(..., indent=2)`` lays out an array that opens ``indent``
@@ -371,12 +367,12 @@ def format_matrix(game: Game) -> str:
     if shape.player_count != 2:
         lines = []
         for p in shape.profiles():
-            cell = ",".join(_render_rational(v) for v in game.payoff(p))
+            cell = ",".join(str(v) for v in game.payoff(p))
             lines.append(f"{game.space.name_profile(p)}: {cell}")
         return "\n".join(lines)
     rows, cols = game.strategies
     cell_text = {
-        (i, j): ",".join(_render_rational(v) for v in game.payoff((i, j)))
+        (i, j): ",".join(str(v) for v in game.payoff((i, j)))
         for i in range(len(rows))
         for j in range(len(cols))
     }
@@ -425,7 +421,7 @@ def format_report(game: Game) -> str:
                 phrases.append(f"{s} weakly dominates {t}")
         lines.append(f"  {player}: " + ("; ".join(phrases) if phrases else "none"))
     total = analysis.constant_sum
-    lines.append(f"constant sum: {_render_rational(total) if total is not None else 'none'}")
+    lines.append(f"constant sum: {str(total) if total is not None else 'none'}")
     lines.append(f"Pareto optimal: {_format_profiles(game, analysis.pareto_optimal)}")
     dominant = analysis.strictly_dominant_profile
     lines.append(
@@ -449,7 +445,7 @@ def _json_report(game: Game) -> str:
             for player in game.players
         },
         "constant_sum": (
-            _render_rational(analysis.constant_sum)
+            str(analysis.constant_sum)
             if analysis.constant_sum is not None
             else None
         ),
@@ -513,12 +509,7 @@ def _cmd_check(args) -> int:
 def _cmd_synth(args) -> int:
     source = _read_game(args.game)
     target = _read_game(args.target)
-    try:
-        result = synthesize_offers(source, target)
-    except NotEquivalent as exc:
-        print(exc.verdict.describe(), file=sys.stderr)
-        return 1
-    offers = result.offers
+    offers = synthesize_offers(source, target).offers
     if args.nonnegative:
         offers = nonnegative_decomposition(offers)
     _emit(args, serialize_offers(offers))

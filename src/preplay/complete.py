@@ -42,9 +42,9 @@ class Seed:
     assignments: Mapping[Profile, PayoffVector]
 
     def __post_init__(self):
-        object.__setattr__(self, "base_profile", tuple(int(i) for i in self.base_profile))
+        object.__setattr__(self, "base_profile", tuple(self.base_profile))
         fixed = {
-            tuple(int(i) for i in profile): tuple(as_rational(v) for v in vector)
+            tuple(profile): tuple(as_rational(v) for v in vector)
             for profile, vector in dict(self.assignments).items()
         }
         object.__setattr__(self, "assignments", fixed)
@@ -121,7 +121,7 @@ def two_person_seed(
         )
     assignments = {}
     for profile, value in dict(first_player_values).items():
-        profile = tuple(int(i) for i in profile)
+        profile = tuple(profile)
         first = as_rational(value)
         assignments[profile] = (first, payoff_sum(source, profile) - first)
     return Seed(tuple(base_profile), assignments)

@@ -339,12 +339,16 @@ def _add_separable(
     return Game(game.players, game.strategies, tuple(zip(*columns)), _space=game.space)
 
 
-def _opposing_flats(shape: GameShape, k: int) -> list[int]:
-    """Flat indices of the profiles where player k plays their first strategy;
-    adding ``t * shape.strides[k]`` moves each to k's strategy t."""
+def _slices(game: Game, k: int) -> tuple[list[list[int]], list[int]]:
+    """Player k's ints from ``game._scaled`` as one list per strategy t of k,
+    plus the flat indices ``opposing`` where k plays their first strategy:
+    entry i of list t is k's payoff at ``opposing[i] + t * shape.strides[k]``."""
+    shape = game.shape
     stride = shape.strides[k]
     block = stride * shape.strategy_counts[k]
-    return [start + low for start in range(0, shape.size, block) for low in range(stride)]
+    opposing = [start + low for start in range(0, shape.size, block) for low in range(stride)]
+    column = [row[k] for row in game._scaled[1]]
+    return [[column[flat + t] for flat in opposing] for t in range(0, block, stride)], opposing
 
 
 def make_game(

@@ -29,10 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Sequence
 
 from .characterize import _check_diff, _diff_view, _star_readout
-from .core import Game, RationalLike, _opposing_flats, as_rational
+from .core import Game, RationalLike, _slices, as_rational
 from .errors import (
     ArityMismatch,
     IndexOutOfRange,
@@ -145,34 +146,30 @@ def make_profile_dominant(
     offers are contingent on *other* players' choices, so they never disturb
     that player's own dominance order; incoming offers alone settle it.
 
-    The shortfalls are read off the game's integer view (``Game._scaled``):
-    for each opposing profile, player k's axis is walked by its row-major
-    stride, and only the worst shortfall per player becomes a ``Fraction``.
+    The shortfalls are read off player k's slice table (``core._slices``),
+    one list of ints per strategy of k, entry i of each facing the same
+    opposing profile: the gap is the largest entry of the elementwise max of
+    the other lists minus the designated list, and only that gap per player
+    becomes a ``Fraction``.
     """
     margin = as_rational(margin)
     if margin <= 0:
         raise NonpositiveMargin(f"margin must be positive, got {margin}")
-    shape = game.shape
     try:
-        profile = shape.validate_profile(profile)
+        profile = game.shape.validate_profile(profile)
     except (ArityMismatch, IndexOutOfRange) as exc:
         raise InvalidProfile(str(exc)) from None
 
-    n = shape.player_count
-    counts, strides = shape.strategy_counts, shape.strides
-    scales, rows = game._scaled
+    n = len(profile)
+    scales, _ = game._scaled
     net: _Net = {}
-    for k in range(n):
-        designated = profile[k]
-        stride = strides[k]
-        others = [t * stride for t in range(counts[k]) if t != designated]
+    for k, designated in enumerate(profile):
+        lists, _ = _slices(game, k)
+        others = [b for t, b in enumerate(lists) if t != designated]
         if not others:
             continue  # single strategy: nothing to dominate
         # worst shortfall: how much some alternative beats the designated
         # strategy by, across all opposing profiles
-        gap = max(
-            max(rows[flat + other][k] for other in others) - rows[flat + designated * stride][k]
-            for flat in _opposing_flats(shape, k)
-        )
+        gap = max(map(sub, map(max, zip(*others)), lists[designated]))
         net[(k + 1) % n, k, designated] = max(Fraction(0), Fraction(gap, scales[k]) + margin)
     return _canonical(game.space, net)

@@ -290,6 +290,31 @@ def test_analysis_matches_references_on_ties_and_constant_sums():
     assert duplicates and equal_totals and constant >= 60
 
 
+def test_analysis_matches_references_on_dominated_games(corpus):
+    # after make_profile_dominant the designated profile is strictly
+    # dominant, which only 6 of the 400 corpus games and applied games are
+    # on their own
+    rng = random.Random(63)
+    edges = [
+        Game(
+            tuple(f"P{i + 1}" for i in range(len(counts))),
+            tuple(tuple(f"s{j + 1}" for j in range(c)) for c in counts),
+            tuple(
+                tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in counts)
+                for _ in range(math.prod(counts))
+            ),
+        )
+        for counts in ((1, 3), (3, 1), (1, 2, 3), (3, 2, 1), (1, 4, 1), (1, 1))
+    ]
+    games = [game for game, _ in corpus] + [rational_game(rng) for _ in range(60)] + edges
+    for game in games:
+        profile = tuple(rng.randrange(c) for c in game.shape.strategy_counts)
+        margin = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        dominated = apply_offer_set(game, make_profile_dominant(game, profile, margin))
+        assert_matches_references(dominated)
+        assert strictly_dominant_profile(dominated) == profile
+
+
 def test_analysis_matches_references_on_prime_denominators():
     game = prime_denominator_game()
     denominators = [v.denominator for cell in game.payoffs for v in cell]

@@ -8,6 +8,7 @@ from preplay import (
     Game,
     GameShape,
     IncompleteSeed,
+    IndexOutOfRange,
     Seed,
     SeedSumViolation,
     apply_offer_set,
@@ -123,6 +124,23 @@ def test_incomplete_seed_extra_profile(wide_source):
     with pytest.raises(IncompleteSeed) as info:
         complete_from_seed(wide_source, Seed((0, 0), padded))
     assert "unexpected (2,2)" in str(info.value)
+
+
+def test_seed_non_integer_base_entry(wide_source):
+    # a float is not truncated to a strategy index
+    with pytest.raises(IndexOutOfRange):
+        complete_from_seed(wide_source, Seed((0.9, 0), WIDE_SEED))
+
+
+def test_seed_non_integer_profile_key(wide_source):
+    bad = dict(WIDE_SEED)
+    bad[(0.2, 1)] = bad.pop((0, 1))
+    with pytest.raises(IncompleteSeed) as info:
+        complete_from_seed(wide_source, Seed((0, 0), bad))
+    assert "missing (1,2); unexpected (1.2,2)" in str(info.value)
+    first_only = {profile: vector[0] for profile, vector in bad.items()}
+    with pytest.raises(IndexOutOfRange):
+        two_person_seed(wide_source, (0, 0), first_only)
 
 
 def test_seed_vector_arity(wide_source):
