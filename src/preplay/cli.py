@@ -135,7 +135,8 @@ def _rational(node) -> Fraction:
 
 def _check_schema(doc: dict, source: str) -> None:
     version = doc.get("schema", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    # exact type: true and 1.0 compare equal to 1
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ParseError(source, "schema", f"unsupported schema version {version!r}")
 
 
@@ -586,8 +587,16 @@ def _cmd_demo(args) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ``ParseError``, so it prints one line and
+    exits 2 like any other malformed input; subcommand parsers inherit this."""
+
+    def error(self, message):
+        raise ParseError("command line", self.prog, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="preplay",
         description="Transform normal form games with binding preplay offers.",
     )
@@ -643,22 +652,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (SeedSumViolation, NonpositiveMargin) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NotEquivalent as exc:
         print(exc.verdict.describe(), file=sys.stderr)
         return 1
-    except PreplayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PreplayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import Mapping, Sequence
 
 from .core import (
@@ -71,13 +72,17 @@ def complete_from_seed(source: Game, seed: Seed) -> Game:
     star_set = set(star)
     provided = set(seed.assignments)
     missing = sorted(star_set - provided)
-    extra = sorted(provided - star_set)
+    extra = provided - star_set
     if missing or extra:
         parts = []
         if missing:
             parts.append("missing " + ", ".join(format_profile(p) for p in missing))
         if extra:
-            parts.append("unexpected " + ", ".join(format_profile(p) for p in extra))
+            # a key with a non-number entry can neither be rendered 1-based nor
+            # sorted with the others, so it is listed by its repr, after them
+            odd = {p for p in extra if not all(isinstance(i, Real) for i in p)}
+            shown = [format_profile(p) for p in sorted(extra - odd)] + sorted(map(repr, odd))
+            parts.append("unexpected " + ", ".join(shown))
         raise IncompleteSeed(
             f"seed must cover exactly the star of {format_profile(base)}: " + "; ".join(parts)
         )

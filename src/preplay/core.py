@@ -35,6 +35,17 @@ from .errors import (
     UnknownStrategy,
 )
 
+__all__ = [
+    "Game",
+    "GameShape",
+    "Profile",
+    "Rational",
+    "StrategySpace",
+    "as_rational",
+    "make_game",
+    "payoff_sum",
+]
+
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 Profile = tuple[int, ...]
@@ -101,11 +112,14 @@ class GameShape:
     strategy_counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.strategy_counts)
+        counts = tuple(self.strategy_counts)
         object.__setattr__(self, "strategy_counts", counts)
         if len(counts) < 2:
             raise ArityMismatch(f"a game needs at least 2 players, got {len(counts)}")
         for k, count in enumerate(counts):
+            # bool is an int subclass, but True is not a strategy count
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise ArityMismatch(f"player {k + 1} has strategy count {count!r}; need an int")
             if count < 1:
                 raise ArityMismatch(f"player {k + 1} has {count} strategies; need at least 1")
 

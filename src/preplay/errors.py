@@ -2,6 +2,26 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "ArityMismatch",
+    "DuplicateName",
+    "DuplicateOutcome",
+    "IncompleteSeed",
+    "IndexOutOfRange",
+    "InvalidProfile",
+    "MissingOutcome",
+    "NameMismatch",
+    "NonpositiveMargin",
+    "NotEquivalent",
+    "ParseError",
+    "PreplayError",
+    "SeedSumViolation",
+    "SelfOffer",
+    "ShapeMismatch",
+    "UnknownPlayer",
+    "UnknownStrategy",
+]
+
 
 class PreplayError(Exception):
     """Base class for all errors raised by this package."""

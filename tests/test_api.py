@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import types
 
 import pytest
 
@@ -27,3 +28,29 @@ def test_submodule_public_names_are_reexported(name):
     for public in getattr(module, "__all__", ()):
         assert public in preplay.__all__, f"preplay.{name}.{public} is not re-exported"
         assert getattr(preplay, public) is getattr(module, public)
+
+
+def test_each_public_name_has_one_home():
+    # the package star-imports every submodule, so a name listed twice
+    # would silently resolve to whichever module is imported last
+    homes = {}
+    for name in SUBMODULES:
+        module = importlib.import_module(f"preplay.{name}")
+        for public in getattr(module, "__all__", ()):
+            homes.setdefault(public, []).append(name)
+    assert {public: where for public, where in homes.items() if len(where) > 1} == {}
+    assert sorted(homes) == sorted(preplay.__all__)
+
+
+def test_package_namespace_holds_only_public_names():
+    # catches a star import that leaks, e.g. ``annotations`` from a
+    # submodule without ``__all__``
+    stray = [
+        name
+        for name, value in vars(preplay).items()
+        if name not in preplay.__all__
+        and name != "__version__"
+        and not (name.startswith("__") and name.endswith("__"))
+        and not (isinstance(value, types.ModuleType) and value.__name__ == f"preplay.{name}")
+    ]
+    assert stray == []

@@ -119,8 +119,10 @@ def test_parse_game_error_paths():
     with pytest.raises(ParseError):
         parse_game(json.dumps(bad_float))
 
-    with pytest.raises(ParseError):
-        parse_game(json.dumps({**json.loads(M0_DOC), "schema": 2}))
+    for version in (2, True, 1.0):
+        with pytest.raises(ParseError) as info:
+            parse_game(json.dumps({**json.loads(M0_DOC), "schema": version}))
+        assert f"unsupported schema version {version!r}" in str(info.value)
 
 
 def test_parse_offers_validates(m0):
@@ -444,10 +446,13 @@ def test_player_count_at_and_past_the_limit(files, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_usage_error_exits_2():
-    with pytest.raises(SystemExit) as info:
-        run(["not-a-command"])
-    assert info.value.code == 2
+def test_usage_error_exits_2(capsys):
+    for argv in (["not-a-command"], ["analyze"], ["analyze", "g.json", "--bogus"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: command line: preplay")
+        assert captured.err.count("\n") == 1
 
 
 def test_strict_flag_rejects_negative(files, capsys):

@@ -143,6 +143,18 @@ def test_seed_non_integer_profile_key(wide_source):
         two_person_seed(wide_source, (0, 0), first_only)
 
 
+def test_seed_non_number_profile_key(wide_source):
+    # such a key can be neither rendered 1-based nor sorted with int keys
+    alone = {**WIDE_SEED, ("a", 0): (1, -1)}
+    with pytest.raises(IncompleteSeed) as info:
+        complete_from_seed(wide_source, Seed((0, 0), alone))
+    assert str(info.value).endswith(": unexpected ('a', 0)")
+    mixed = {**WIDE_SEED, ("1", 0): (1, -1), (1, 1): (1, -1)}
+    with pytest.raises(IncompleteSeed) as info:
+        complete_from_seed(wide_source, Seed((0, 0), mixed))
+    assert str(info.value).endswith(": unexpected (2,2), ('1', 0)")
+
+
 def test_seed_vector_arity(wide_source):
     bad = dict(WIDE_SEED)
     bad[(0, 0)] = (1, 7, 0)

@@ -190,6 +190,13 @@ def test_empty_strategy_list_rejected():
         GameShape((2, 0))
 
 
+@pytest.mark.parametrize("count", [2.7, "2", None, True])
+def test_non_int_strategy_count_rejected(count):
+    # a count is neither truncated (2.7 -> 2) nor coerced ("2" -> 2, True -> 1)
+    with pytest.raises(ArityMismatch):
+        GameShape((count, 2))
+
+
 def test_payoff_sum_examples(m0):
     assert payoff_sum(m0, (0, 0)) == 8
     assert payoff_sum(m0, (1, 1)) == 2
