@@ -41,9 +41,8 @@ DominancePair = tuple[str, str, str]
 def pure_nash(game: Game) -> frozenset[Profile]:
     """Profiles where no player gains by a unilateral strategy change."""
     shape = game.shape
-    counts, strides = shape.strategy_counts, shape.strides
     stable = set(range(shape.size))
-    for k, stride in enumerate(strides):
+    for k, stride in enumerate(shape.strides):
         lists, opposing = _slices(game, k)
         best = list(map(max, zip(*lists)))
         # a profile is a best response for k iff k's payoff there is the max facing it
@@ -53,9 +52,7 @@ def pure_nash(game: Game) -> frozenset[Profile]:
             for flat, payoff, top in zip(opposing, payoffs, best)
             if payoff == top
         }
-    return frozenset(
-        tuple(flat // stride % count for stride, count in zip(strides, counts)) for flat in stable
-    )
+    return frozenset(map(shape._profile_at, stable))
 
 
 def dominance(game: Game, player: str) -> frozenset[DominancePair]:

@@ -154,13 +154,6 @@ def _diff_view(source: Game, target: Game) -> tuple[tuple[int, ...], list[list[i
     return tuple(scales), columns
 
 
-def _profile_at(shape: GameShape, flat: int) -> Profile:
-    """The profile at a row-major flat index."""
-    return tuple(
-        flat // stride % length for stride, length in zip(shape.strides, shape.strategy_counts)
-    )
-
-
 def _total(cell: PayoffVector) -> tuple[int, int]:
     """A payoff vector's sum as an unreduced ``(numerator, denominator)``."""
     num, den = 0, 1
@@ -219,7 +212,7 @@ def _check_diff(
         )
     flat = next(compress(count(), broken), None)
     if flat is not None:
-        return EquivalenceVerdict(False, Violation("C1", (_profile_at(shape, flat),)))
+        return EquivalenceVerdict(False, Violation("C1", (shape._profile_at(flat),)))
 
     counts, strides, size = shape.strategy_counts, shape.strides, shape.size
     n = len(counts)
@@ -246,16 +239,14 @@ def _check_diff(
                 flat = next(compress(count(start), map(ne, steps, ref)), None)
                 if flat is None:
                     continue
-                p = _profile_at(shape, flat)
-                v = p[k]
-                p_step = p[:k] + (v + 1,) + p[k + 1 :]
-                q = tuple(v if i == k else 0 for i in range(n))
-                q_step = tuple(v + 1 if i == k else 0 for i in range(n))
+                # p and p' step axis k from v to v + 1; so do q and q', which are 0 off axis k
+                v = flat // stride % length
+                witness = (flat, flat + stride, v * stride, (v + 1) * stride)
                 return EquivalenceVerdict(
                     False,
                     Violation(
                         "C2",
-                        (p, p_step, q, q_step),
+                        tuple(map(shape._profile_at, witness)),
                         player=source.space.players[j],
                         axis=k,
                     ),

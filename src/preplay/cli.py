@@ -322,8 +322,7 @@ def parse_offers(
             )
         try:
             offer = Offer(payer, payee, strategy, amount)
-            space.player_index(payer)
-            space.strategy_index(payee, strategy)
+            space._offer_key(payer, payee, strategy)
         except PreplayError as exc:
             raise ParseError(source, location, str(exc)) from None
         offers.append(offer)
@@ -364,35 +363,18 @@ def parse_seed_assignments(
 def format_matrix(game: Game) -> str:
     """Two-person payoff matrix, row player first; generic outcome listing
     for other player counts."""
-    shape = game.shape
-    if shape.player_count != 2:
-        lines = []
-        for p in shape.profiles():
-            cell = ",".join(str(v) for v in game.payoff(p))
-            lines.append(f"{game.space.name_profile(p)}: {cell}")
-        return "\n".join(lines)
+    cells = [",".join(map(str, cell)) for cell in game.payoffs]
+    if game.shape.player_count != 2:
+        names = map(game.space.name_profile, game.shape.profiles())
+        return "\n".join(f"{name}: {cell}" for name, cell in zip(names, cells))
     rows, cols = game.strategies
-    cell_text = {
-        (i, j): ",".join(str(v) for v in game.payoff((i, j)))
-        for i in range(len(rows))
-        for j in range(len(cols))
-    }
-    row_width = max(len(r) for r in rows)
-    col_widths = [
-        max(len(cols[j]), max(len(cell_text[(i, j)]) for i in range(len(rows))))
-        for j in range(len(cols))
-    ]
-    header = " " * row_width + " | " + " | ".join(
-        cols[j].rjust(col_widths[j]) for j in range(len(cols))
+    # the header is one more row of the table, under an empty row name
+    m = len(cols)
+    table = [("", *cols)] + [(r, *cells[i * m : (i + 1) * m]) for i, r in enumerate(rows)]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return "\n".join(
+        " | ".join(text.rjust(width) for text, width in zip(line, widths)) for line in table
     )
-    lines = [header]
-    for i, r in enumerate(rows):
-        lines.append(
-            r.rjust(row_width)
-            + " | "
-            + " | ".join(cell_text[(i, j)].rjust(col_widths[j]) for j in range(len(cols)))
-        )
-    return "\n".join(lines)
 
 
 def _format_profiles(game: Game, profiles) -> str:

@@ -152,7 +152,8 @@ class GameShape:
     def validate_profile(self, profile: Sequence[int]) -> Profile:
         profile = tuple(profile)
         for k, index in enumerate(profile):
-            if not isinstance(index, int):
+            # bool is an int subclass, but True is not a strategy index
+            if isinstance(index, bool) or not isinstance(index, int):
                 raise IndexOutOfRange(
                     f"profile entry {index!r} for player {k + 1} is not a strategy index"
                 )
@@ -172,6 +173,12 @@ class GameShape:
     def flat_index(self, profile: Sequence[int]) -> int:
         profile = self.validate_profile(profile)
         return sum(i * s for i, s in zip(profile, self.strides))
+
+    def _profile_at(self, flat: int) -> Profile:
+        """The profile at a row-major flat index; the inverse of ``flat_index``."""
+        return tuple(
+            flat // stride % count for stride, count in zip(self.strides, self.strategy_counts)
+        )
 
     def star(self, base: Sequence[int]) -> Iterator[Profile]:
         """The base profile plus every profile differing from it in exactly
@@ -228,6 +235,11 @@ class StrategySpace:
             raise UnknownStrategy(
                 f"player {player!r} has no strategy named {strategy!r}"
             ) from None
+
+    def _offer_key(self, payer: str, payee: str, strategy: str) -> tuple[int, int, int]:
+        """An offer's (payer, payee, payee strategy) index triple; raises
+        ``UnknownPlayer`` or ``UnknownStrategy`` on the first unknown name."""
+        return self.player_index(payer), self.player_index(payee), self.strategy_index(payee, strategy)
 
     def profile_from_names(self, names: Sequence[str]) -> Profile:
         if len(names) != len(self.players):
@@ -411,8 +423,8 @@ def make_game(
             )
         cells[flat] = values
     if len(cells) != shape.size:
-        missing_profile = next(p for p in shape.profiles() if shape.flat_index(p) not in cells)
-        raise MissingOutcome(f"no payoff vector for profile {space.name_profile(missing_profile)}")
+        missing = shape._profile_at(next(f for f in range(shape.size) if f not in cells))
+        raise MissingOutcome(f"no payoff vector for profile {space.name_profile(missing)}")
     payoffs = tuple(cells[i] for i in range(shape.size))
     return Game(space.players, space.strategies, payoffs, _space=space)
 

@@ -5,8 +5,8 @@ amount.  Applying it to a game moves the amount from the payer to the payee
 in every outcome where the payee plays the named strategy — the offer is
 conditional on the payee's choice only, never on the payer's own.  So an
 offer set acts only through its net amount per (payer, payee, strategy):
-each operation nets it once into a table keyed by index triples (``_net``)
-and builds one canonical ``OfferSet`` from a table (``_canonical``).
+a set nets itself when built into a table keyed by index triples, and
+every operation builds one canonical ``OfferSet`` from a table (``_canonical``).
 Applying a set adds one payment vector per (payee, strategy) in one pass of
 the outer-sum kernel, which sums them on Python int pairs.
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .core import Game, StrategySpace, _add_separable, as_rational
 from .errors import NameMismatch, SelfOffer, ShapeMismatch
@@ -66,8 +66,9 @@ class OfferSet:
     """A finite multiset of offers over one strategy space.
 
     The space is carried along because ordering, inversion and serialization
-    all need the name-to-index context.  Construction validates every offer's
-    names against the space.
+    all need the name-to-index context.  Construction resolves every offer's
+    names against the space and nets the amounts into ``_table``, which is
+    not a field (equality, hashing and ``repr`` ignore it) and never mutated.
     """
 
     space: StrategySpace
@@ -75,29 +76,17 @@ class OfferSet:
 
     def __post_init__(self):
         object.__setattr__(self, "offers", tuple(self.offers))
+        table: _Net = {}
         for offer in self.offers:
-            self.space.player_index(offer.payer)
-            self.space.strategy_index(offer.payee, offer.payee_strategy)
+            key = self.space._offer_key(offer.payer, offer.payee, offer.payee_strategy)
+            table[key] = table[key] + offer.amount if key in table else offer.amount
+        object.__setattr__(self, "_table", table)
 
     def __iter__(self) -> Iterator[Offer]:
         return iter(self.offers)
 
     def __len__(self) -> int:
         return len(self.offers)
-
-
-def _net(space: StrategySpace, offers: Iterable[Offer]) -> _Net:
-    """The offers' amounts summed per (payer, payee, payee strategy) index
-    triple; an unknown name raises as ``OfferSet`` does."""
-    net: _Net = {}
-    for offer in offers:
-        key = (
-            space.player_index(offer.payer),
-            space.player_index(offer.payee),
-            space.strategy_index(offer.payee, offer.payee_strategy),
-        )
-        net[key] = net[key] + offer.amount if key in net else offer.amount
-    return net
 
 
 def _canonical(space: StrategySpace, net: _Net) -> OfferSet:
@@ -138,7 +127,7 @@ def canonicalize(offer_set: OfferSet) -> OfferSet:
     and the result is sorted by (payer, payee, strategy) index.  Two offer
     sets induce the same transformation iff they canonicalize identically.
     """
-    return _canonical(offer_set.space, _net(offer_set.space, offer_set))
+    return _canonical(offer_set.space, offer_set._table)
 
 
 def apply_offer(game: Game, offer: Offer) -> Game:
@@ -163,7 +152,7 @@ def apply_offer_set(game: Game, offer_set: OfferSet) -> Game:
         raise NameMismatch("offer set and game disagree on player or strategy names")
     zero = (Fraction(0),) * len(game.players)
     steps = [[list(zero) for _ in row] for row in game.strategies]
-    for (payer, payee, strategy), amount in _net(offer_set.space, offer_set).items():
+    for (payer, payee, strategy), amount in offer_set._table.items():
         steps[payee][strategy][payer] -= amount
         steps[payee][strategy][payee] += amount
     return _add_separable(game, zero, steps)
@@ -172,10 +161,11 @@ def apply_offer_set(game: Game, offer_set: OfferSet) -> Game:
 def invert_offer(offer: Offer, space: StrategySpace) -> OfferSet:
     """The offer set that undoes a single offer, in canonical form (see
     ``_undo``).  Raises as ``OfferSet`` does on names outside the space."""
-    return _canonical(space, _undo(space, _net(space, (offer,)), {}))
+    key = space._offer_key(offer.payer, offer.payee, offer.payee_strategy)
+    return _canonical(space, _undo(space, {key: offer.amount}, {}))
 
 
 def invert_offer_set(offer_set: OfferSet) -> OfferSet:
     """The offer set that undoes every offer in the set, in canonical form."""
     space = offer_set.space
-    return _canonical(space, _undo(space, _net(space, offer_set), {}))
+    return _canonical(space, _undo(space, offer_set._table, {}))

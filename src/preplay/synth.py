@@ -41,7 +41,7 @@ from .errors import (
     NonpositiveMargin,
     NotEquivalent,
 )
-from .offers import OfferSet, _canonical, _Net, _net, _undo
+from .offers import OfferSet, _canonical, _Net, _undo
 
 __all__ = [
     "SynthesisResult",
@@ -129,7 +129,7 @@ def nonnegative_decomposition(offer_set: OfferSet) -> OfferSet:
     replacement induces the same transformation on every game of the shape.
     """
     space = offer_set.space
-    net = _net(space, offer_set)
+    net = offer_set._table
     positive = {key: d for key, d in net.items() if d > 0}
     return _canonical(space, _undo(space, {key: -d for key, d in net.items() if d < 0}, positive))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import random
@@ -11,9 +12,12 @@ import preplay.analyze
 from preplay import (
     AnalysisReport,
     Game,
+    Offer,
+    OfferSet,
     Profile,
     UnknownPlayer,
     apply_offer_set,
+    canonicalize,
     constant_sum,
     dominance,
     make_profile_dominant,
@@ -368,3 +372,23 @@ def test_cached_view_leaves_equality_hash_and_pickle_alone():
     copy = pickle.loads(pickle.dumps(game))
     assert copy == fresh and hash(copy) == hash(fresh)
     assert copy._scaled == fresh._scaled
+
+
+def test_offer_set_table_leaves_equality_hash_repr_and_pickle_alone():
+    game = cube_game()
+    offers = random_offer_set(random.Random(11), game.space, max_offers=12)
+    fresh = OfferSet(game.space, tuple(offers))
+    assert len(set(offers)) >= 2
+    assert offers == fresh and hash(offers) == hash(fresh)
+    # a set is the offers in their order, not only the net table they share
+    turned = OfferSet(game.space, offers.offers[::-1])
+    assert turned._table == offers._table and turned != offers
+    assert repr(offers) == f"OfferSet(space={game.space!r}, offers={offers.offers!r})"
+    copy = pickle.loads(pickle.dumps(offers))
+    assert copy == offers and hash(copy) == hash(offers)
+    assert apply_offer_set(game, copy) == apply_offer_set(game, offers)
+    assert canonicalize(copy) == canonicalize(offers)
+    one = Offer(game.players[0], game.players[1], game.strategies[1][0], 5)
+    replaced = dataclasses.replace(offers, offers=(one,))
+    assert replaced._table == {(0, 1, 0): 5}
+    assert apply_offer_set(game, replaced) == apply_offer_set(game, OfferSet(game.space, (one,)))

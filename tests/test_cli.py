@@ -24,6 +24,7 @@ from preplay.cli import (
     _MAX_SCALE_BITS,
     _check_scales,
     format_matrix,
+    format_report,
     parse_game,
     parse_offers,
     parse_seed_assignments,
@@ -31,7 +32,7 @@ from preplay.cli import (
     serialize_game,
     serialize_offers,
 )
-from conftest import random_game
+from conftest import grid_game, matching_pennies, random_game
 
 M0_DOC = """{
   "schema": 1,
@@ -339,6 +340,34 @@ def test_analyze_json(files, capsys):
     assert {pair["kind"] for pair in doc["dominance"]["I"]} == {"strict", "weak"}
 
 
+def test_format_report_names_a_weak_only_pair():
+    # I's a ties b against x and beats it against y
+    game = grid_game(("I", "II"), (("a", "b"), ("x", "y")), [(1, 0), (1, 1), (1, 0), (0, 1)])
+    assert format_report(game) == (
+        "players: I, II\n"
+        "pure Nash equilibria: (a,y)\n"
+        "dominance:\n"
+        "  I: a weakly dominates b\n"
+        "  II: y strictly dominates x\n"
+        "constant sum: none\n"
+        "Pareto optimal: (a,y)\n"
+        "strictly dominant profile: none\n"
+    )
+
+
+def test_format_report_without_a_pure_equilibrium():
+    assert format_report(matching_pennies()) == (
+        "players: I, II\n"
+        "pure Nash equilibria: none\n"
+        "dominance:\n"
+        "  I: none\n"
+        "  II: none\n"
+        "constant sum: 0\n"
+        "Pareto optimal: (H,H), (H,T), (T,H), (T,T)\n"
+        "strictly dominant profile: none\n"
+    )
+
+
 def test_demo_pd(capsys):
     assert run(["demo", "pd"]) == 0
     out = capsys.readouterr().out
@@ -605,6 +634,90 @@ def test_format_matrix_three_person_fallback():
     )
     text = format_matrix(cube)
     assert "(x,x,x): 1,2,3" in text
+
+
+# ---------------------------------------------------------------------------
+# byte-for-byte pins of the matrix printer
+
+DEMO_PD_STDOUT = """\
+Prisoner's Dilemma, transformed by two preplay offers
+
+M0 (the Prisoner's Dilemma):
+  |   C |   D
+C | 4,4 | 0,5
+D | 5,0 | 1,1
+pure Nash equilibria: (D,D)
+
+offer: I pays II 2 if II plays C
+M1 = M0 after the offer:
+  |   C |   D
+C | 2,6 | 0,5
+D | 3,2 | 1,1
+pure Nash equilibria: (D,C)
+
+offer: II pays I 2 if I plays C
+M2 = M1 after the offer:
+  |   C |   D
+C | 4,4 | 2,3
+D | 3,2 | 1,1
+pure Nash equilibria: (C,C)
+"""
+
+
+def test_demo_pd_stdout_is_pinned(capsys):
+    assert run(["demo", "pd"]) == 0
+    assert capsys.readouterr().out == DEMO_PD_STDOUT
+
+
+def test_format_matrix_widths_come_from_names_and_cells():
+    # the row names set the first column; "a very wide name" sets its own
+    # column; the cells "-17/3,2" and "10,-10" / "0,7/11" set the other two
+    game = make_game(
+        ("row", "col"),
+        (("top", "middle", "b"), ("left", "a very wide name", "r")),
+        {
+            ("top", "left"): ("-17/3", 2),
+            ("top", "a very wide name"): (0, 0),
+            ("top", "r"): (1, 1),
+            ("middle", "left"): (1, "1/2"),
+            ("middle", "a very wide name"): ("12345", "-6"),
+            ("middle", "r"): (10, -10),
+            ("b", "left"): (0, 0),
+            ("b", "a very wide name"): (3, 4),
+            ("b", "r"): (0, "7/11"),
+        },
+    )
+    assert format_matrix(game) == (
+        "       |    left | a very wide name |      r\n"
+        "   top | -17/3,2 |              0,0 |    1,1\n"
+        "middle |   1,1/2 |         12345,-6 | 10,-10\n"
+        "     b |     0,0 |              3,4 | 0,7/11"
+    )
+
+
+def test_format_matrix_three_person_listing_is_pinned(cube):
+    assert format_matrix(cube) == "\n".join(
+        [
+            "(A_11,A_21,A_31): 1,2,0",
+            "(A_11,A_21,A_32): 1,1,8",
+            "(A_11,A_22,A_31): 2,3,1",
+            "(A_11,A_22,A_32): 2,2,7",
+            "(A_11,A_23,A_31): 3,1,2",
+            "(A_11,A_23,A_32): 3,3,6",
+            "(A_12,A_21,A_31): 2,3,3",
+            "(A_12,A_21,A_32): 1,2,5",
+            "(A_12,A_22,A_31): 3,4,4",
+            "(A_12,A_22,A_32): 2,3,4",
+            "(A_12,A_23,A_31): 4,2,5",
+            "(A_12,A_23,A_32): 3,4,3",
+            "(A_13,A_21,A_31): 6,5,6",
+            "(A_13,A_21,A_32): 2,1,2",
+            "(A_13,A_22,A_31): 7,6,7",
+            "(A_13,A_22,A_32): 3,2,1",
+            "(A_13,A_23,A_31): 5,7,8",
+            "(A_13,A_23,A_32): 1,3,0",
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------

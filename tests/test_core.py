@@ -154,6 +154,35 @@ def test_make_game_missing_profile():
     assert "(D,D)" in str(info.value)
 
 
+def test_make_game_names_the_first_missing_profile_in_row_major_order():
+    entries = {("C", "C"): (4, 4), ("D", "D"): (1, 1)}
+    with pytest.raises(MissingOutcome, match=r"^no payoff vector for profile \(C,D\)$"):
+        make_game(("I", "II"), (("C", "D"), ("C", "D")), entries)
+
+
+def test_make_game_rejects_a_strategy_list_for_an_unknown_player():
+    with pytest.raises(UnknownPlayer, match=r"^strategy list for unknown player 'III'$"):
+        make_game(("I", "II"), {"I": ("C",), "II": ("C",), "III": ("C",)}, {})
+
+
+def test_strategy_space_needs_one_strategy_list_per_player():
+    with pytest.raises(ArityMismatch, match=r"^2 players but 1 strategy lists$"):
+        StrategySpace(("I", "II"), (("C", "D"),))
+
+
+def test_game_rejects_a_payoff_vector_of_the_wrong_length():
+    with pytest.raises(ArityMismatch, match=r"^payoff vector of length 3 in a 2-player game$"):
+        Game(("I", "II"), (("a",), ("b", "c")), ((1, 2), (1, 2, 3)))
+
+
+def test_as_rational_keeps_a_fraction_subclass():
+    class Exact(Fraction):
+        pass
+
+    value = Exact(3, 4)
+    assert as_rational(value) is value
+
+
 def test_make_game_name_validation():
     with pytest.raises(DuplicateName):
         make_game(("I", "I"), (("C",), ("C",)), {("C", "C"): (0, 0)})
@@ -223,6 +252,23 @@ def test_payoff_rejects_a_non_integer_entry(m0, entry):
 def test_profile_names_rejects_a_non_integer_entry(m0):
     with pytest.raises(IndexOutOfRange, match="entry 1.0 for player 1 is not a strategy index"):
         m0.space.profile_names((1.0, 0))
+
+
+@pytest.mark.parametrize("profile", [(True, False), (0, True), (False, 0)])
+def test_payoff_rejects_a_bool_entry(m0, profile):
+    # True == 1 and False == 0, but neither is a strategy index
+    with pytest.raises(IndexOutOfRange, match="is not a strategy index"):
+        m0.payoff(profile)
+    with pytest.raises(IndexOutOfRange, match="is not a strategy index"):
+        m0.shape.validate_profile(profile)
+    with pytest.raises(IndexOutOfRange, match="is not a strategy index"):
+        m0.space.name_profile(profile)
+
+
+def test_profile_at_inverts_flat_index():
+    shape = GameShape((2, 3, 4))
+    for flat, profile in enumerate(shape.profiles()):
+        assert shape._profile_at(flat) == profile
 
 
 def test_flat_index_is_injective():

@@ -346,6 +346,12 @@ def test_dominate_profile_validation(m0):
         make_profile_dominant(m0, (1.0, 0), 1)
 
 
+def test_dominate_rejects_a_bool_profile_entry(m0):
+    message = "profile entry True for player 1 is not a strategy index"
+    with pytest.raises(InvalidProfile, match=message):
+        make_profile_dominant(m0, (True, False), 1)
+
+
 def test_dominate_achieves_margin_everywhere():
     rng = random.Random(41)
     for _ in range(20):
