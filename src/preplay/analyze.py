@@ -6,21 +6,25 @@ compare exactly as their ``Fraction``s do, so pure Nash equilibria,
 strict/weak dominance between one player's strategies and Pareto-optimal
 outcomes need no rational arithmetic at all; the constant-sum total is the
 one value converted back.  Nash, dominance and the strictly dominant profile
-compare lists from one player's slice table (``core._slices``): one list per
-strategy, entry i of every list facing the same opposing profile.  Pareto
-optimality is a sort-filter skyline.
+compare one player's slice table (``Game._slices``): one tuple of ints per
+strategy, entry i of every tuple facing the same opposing profile.  Pareto
+optimality is a bitmap skyline over the distinct scaled payoff vectors: one
+Python-int bitset per player and payoff value, the possible dominators taken
+in fixed-width chunks so that memory stays linear in the number of cells.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from operator import ge, gt, mul
-from typing import Mapping, Optional
+from functools import partial, reduce
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import and_, ge, gt, lshift, mul, ne, neg, or_, sub
+from typing import Iterator, Mapping, Optional
 
-from .core import Game, Profile, _slices
+from .core import Game, Profile
 
 __all__ = [
     "AnalysisReport",
@@ -37,13 +41,16 @@ __all__ = [
 # every strict pair also appears labeled weak
 DominancePair = tuple[str, str, str]
 
+# possible dominators per pass of the Pareto skyline: every game up to
+# 4,096 cells takes one pass
+_CHUNK = 4096
+
 
 def pure_nash(game: Game) -> frozenset[Profile]:
     """Profiles where no player gains by a unilateral strategy change."""
     shape = game.shape
     stable = set(range(shape.size))
-    for k, stride in enumerate(shape.strides):
-        lists, opposing = _slices(game, k)
+    for stride, (lists, opposing) in zip(shape.strides, game._slices):
         best = list(map(max, zip(*lists)))
         # a profile is a best response for k iff k's payoff there is the max facing it
         stable &= {
@@ -64,7 +71,7 @@ def dominance(game: Game, player: str) -> frozenset[DominancePair]:
     space = game.space
     k = space.player_index(player)
     names = space.strategies[k]
-    lists, _ = _slices(game, k)
+    lists, _ = game._slices[k]
     pairs = set()
     for s, a in enumerate(lists):
         for t, b in enumerate(lists):
@@ -91,37 +98,55 @@ def pareto_optimal(game: Game) -> frozenset[Profile]:
     """Profiles whose payoff vector no other profile strongly dominates
     (>= in every coordinate, > in at least one).
 
-    A sort-filter skyline: outcomes are visited by the sum of their scaled
-    payoffs (each player's payoff weighted by that player's positive scale),
-    descending, in groups of equal sum.  A dominating vector has a strictly
-    larger sum, and strictly larger sum plus >= everywhere is domination, so
-    each outcome is tested with >= alone, and only against the optimal
-    outcomes of earlier groups: by transitivity, anything dominated is
-    dominated by an optimal outcome.  When every scaled sum is equal (a
-    constant-sum game whose players share one scale), nothing is compared.
+    A bitmap skyline over the distinct scaled payoff vectors.  Equal vectors
+    never dominate each other, so once copies are merged, a vector is
+    dominated iff some other vector is >= it on every player.  The possible
+    dominators are taken in chunks of ``_CHUNK``, one bit each.  Per player,
+    the chunk is sorted by that player's int and OR-ed into a running
+    bitset, best first; the bitset at the end of each run of equal ints is
+    the set of members >= that int, and each vector finds its own set by
+    bisection.  A vector is dominated iff the AND of its per-player sets
+    holds more than its own bit.  Each chunk keeps at most ``_CHUNK + 1``
+    sets of at most ``_CHUNK`` bits per player, so extra memory grows with
+    the number of cells, not with its square.
     """
     _, rows = game._scaled
-    totals = [sum(row) for row in rows]
-    order = sorted(range(len(rows)), key=totals.__getitem__, reverse=True)
-    skyline: list[tuple[int, ...]] = []
-    optimal = set()
-    for _, group in groupby(order, key=totals.__getitem__):
-        survivors = [
-            flat
-            for flat in group
-            if not any(all(map(ge, other, rows[flat])) for other in skyline)
-        ]
-        skyline.extend(rows[flat] for flat in survivors)
-        optimal.update(survivors)
-    return frozenset(p for flat, p in enumerate(game.shape.profiles()) if flat in optimal)
+    vectors = list(dict.fromkeys(rows))
+    size = len(vectors)
+    # negated, so that ascending order is best first
+    columns = [list(map(neg, column)) for column in zip(*vectors)]
+    dominated = set()
+    for lo in range(0, size, _CHUNK):
+        hi = min(lo + _CHUNK, size)
+        own = chain(repeat(0, lo), map(lshift, repeat(1), range(hi - lo)), repeat(0, size - hi))
+        common = reduce(partial(map, and_), [_at_least(column, lo, hi) for column in columns])
+        dominated.update(compress(count(), map(ne, common, own)))
+        del common  # frees this chunk's bitsets before the next chunk builds its own
+    beaten = set(map(vectors.__getitem__, dominated))
+    return frozenset(p for p, row in zip(game.shape.profiles(), rows) if row not in beaten)
+
+
+def _at_least(column: list[int], lo: int, hi: int) -> Iterator[int]:
+    """For each entry of ``column``, the bitset of the chunk members
+    ``lo <= i < hi`` whose entry is at most its own (member i is bit
+    ``i - lo``).  The column is negated payoffs, so these are the members
+    whose payoff is at least its own.  Members sharing an entry share one
+    bitset, so the chunk keeps at most ``hi - lo + 1`` of them."""
+    members = sorted(range(lo, hi), key=column.__getitem__)
+    ordered = list(map(column.__getitem__, members))
+    # marks the last member of each run of equal entries
+    last = list(map(ne, ordered, chain(islice(ordered, 1, None), (None,))))
+    bits = accumulate(map(lshift, repeat(1), map(sub, members, repeat(lo))), or_)
+    sets = [0, *compress(bits, last)]
+    runs = partial(bisect_right, list(compress(ordered, last)))
+    return map(sets.__getitem__, map(runs, column))
 
 
 def strictly_dominant_profile(game: Game) -> Optional[Profile]:
     """The profile of per-player strictly dominant strategies, if every
     player has one (single-strategy players qualify vacuously)."""
     profile = []
-    for k in range(game.shape.player_count):
-        lists, _ = _slices(game, k)
+    for lists, _ in game._slices:
         for s, a in enumerate(lists):
             if all(all(map(gt, a, b)) for t, b in enumerate(lists) if t != s):
                 profile.append(s)

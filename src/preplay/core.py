@@ -6,10 +6,11 @@ package, all payment amounts) are ``fractions.Fraction`` values, so every
 transformation and every equality test is exact; nothing is ever rounded.
 Each game also caches its payoffs as Python ints over one common denominator
 per player (``Game._scaled``); the analysis kernels, the reachability check
-and synthesis read that integer view instead of the ``Fraction``s.  Apply
-and completion write a game through one outer-sum kernel
-(``_add_separable``), which adds on Python int pairs, one player at a time,
-and never reads the view.
+and synthesis read that integer view instead of the ``Fraction``s, and the
+Nash and dominance kernels read it cut into one tuple per player and
+strategy (``Game._slices``).  Apply and completion write a game through one
+outer-sum kernel (``_add_separable``), which adds on Python int pairs, one
+player at a time, and never reads the view.
 
 Profiles are tuples of 0-based strategy indices, one per player, in player
 order.  User-facing messages render indices 1-based.
@@ -333,6 +334,29 @@ class Game:
             columns.append([v.numerator * (scale // v.denominator) for v in column])
         return tuple(scales), tuple(zip(*columns))
 
+    @cached_property
+    def _slices(self) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]], ...]:
+        """Each player k's ints from ``_scaled`` as ``(lists, opposing)``:
+        one tuple per strategy t of k, plus the flat indices ``opposing``
+        where k plays their first strategy.  Entry i of ``lists[t]`` is k's
+        payoff at ``opposing[i] + t * shape.strides[k]``, so entry i of every
+        list faces the same opposing profile.  Built once per game, as
+        tuples, for the analysis kernels and ``make_profile_dominant``."""
+        shape = self.shape
+        tables = []
+        for stride, count, column in zip(
+            shape.strides, shape.strategy_counts, zip(*self._scaled[1])
+        ):
+            block = stride * count
+            opposing = tuple(
+                start + low for start in range(0, shape.size, block) for low in range(stride)
+            )
+            lists = tuple(
+                tuple([column[flat + t] for flat in opposing]) for t in range(0, block, stride)
+            )
+            tables.append((lists, opposing))
+        return tuple(tables)
+
     def payoff(self, profile: Sequence[int]) -> PayoffVector:
         """The payoff vector at a profile of 0-based strategy indices."""
         return self.payoffs[self.shape.flat_index(profile)]
@@ -363,18 +387,6 @@ def _add_separable(
             ]
         )
     return Game(game.players, game.strategies, tuple(zip(*columns)), _space=game.space)
-
-
-def _slices(game: Game, k: int) -> tuple[list[list[int]], list[int]]:
-    """Player k's ints from ``game._scaled`` as one list per strategy t of k,
-    plus the flat indices ``opposing`` where k plays their first strategy:
-    entry i of list t is k's payoff at ``opposing[i] + t * shape.strides[k]``."""
-    shape = game.shape
-    stride = shape.strides[k]
-    block = stride * shape.strategy_counts[k]
-    opposing = [start + low for start in range(0, shape.size, block) for low in range(stride)]
-    column = [row[k] for row in game._scaled[1]]
-    return [[column[flat + t] for flat in opposing] for t in range(0, block, stride)], opposing
 
 
 def make_game(

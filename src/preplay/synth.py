@@ -33,7 +33,7 @@ from operator import sub
 from typing import Sequence
 
 from .characterize import _check_diff, _diff_view, _star_readout
-from .core import Game, RationalLike, _slices, as_rational
+from .core import Game, RationalLike, as_rational
 from .errors import (
     ArityMismatch,
     IndexOutOfRange,
@@ -146,7 +146,7 @@ def make_profile_dominant(
     offers are contingent on *other* players' choices, so they never disturb
     that player's own dominance order; incoming offers alone settle it.
 
-    The shortfalls are read off player k's slice table (``core._slices``),
+    The shortfalls are read off player k's slice table (``Game._slices``),
     one list of ints per strategy of k, entry i of each facing the same
     opposing profile: the gap is the largest entry of the elementwise max of
     the other lists minus the designated list, and only that gap per player
@@ -164,7 +164,7 @@ def make_profile_dominant(
     scales, _ = game._scaled
     net: _Net = {}
     for k, designated in enumerate(profile):
-        lists, _ = _slices(game, k)
+        lists, _ = game._slices[k]
         others = [b for t, b in enumerate(lists) if t != designated]
         if not others:
             continue  # single strategy: nothing to dominate

@@ -2,8 +2,11 @@ import dataclasses
 import math
 import pickle
 import random
+import tracemalloc
 from functools import cached_property
 from fractions import Fraction
+from itertools import groupby
+from operator import ge
 from typing import Optional
 
 import pytest
@@ -221,6 +224,27 @@ def quadratic_pareto_optimal(game: Game) -> frozenset[Profile]:
     return frozenset(optimal)
 
 
+def skyline_pareto_optimal(game: Game) -> frozenset[Profile]:
+    """Reference: the sort-filter skyline on the integer view.  Outcomes are
+    visited by descending scaled sum, in groups of equal sum, and each is
+    tested with >= against the optimal outcomes of earlier groups only.  Fast
+    where few outcomes are optimal, quadratic where most are."""
+    _, rows = game._scaled
+    totals = [sum(row) for row in rows]
+    order = sorted(range(len(rows)), key=totals.__getitem__, reverse=True)
+    skyline: list[tuple[int, ...]] = []
+    optimal = set()
+    for _, group in groupby(order, key=totals.__getitem__):
+        survivors = [
+            flat
+            for flat in group
+            if not any(all(map(ge, other, rows[flat])) for other in skyline)
+        ]
+        skyline.extend(rows[flat] for flat in survivors)
+        optimal.update(survivors)
+    return frozenset(p for flat, p in enumerate(game.shape.profiles()) if flat in optimal)
+
+
 def reference_strictly_dominant_profile(game: Game) -> Optional[Profile]:
     """Reference: recomputes every player's dominance pairs."""
     space = game.space
@@ -333,6 +357,77 @@ def test_analysis_matches_references_on_prime_denominators():
     assert_matches_references(game)
 
 
+def transferred_game(rng, counts, rational):
+    """A game as offers leave it: payoffs from about 41 integers (or small
+    rationals), 10-40 random offers applied, then the offers that make a
+    random profile strictly dominant.  Transfers anti-correlate the players'
+    payoffs, so many outcomes are Pareto optimal."""
+    players = tuple(f"P{i + 1}" for i in range(len(counts)))
+    strategies = tuple(tuple(f"s{j + 1}" for j in range(c)) for c in counts)
+
+    def value():
+        return Fraction(rng.randint(-20, 20), rng.randint(2, 7) if rational else 1)
+
+    cells = tuple(tuple(value() for _ in counts) for _ in range(math.prod(counts)))
+    game = Game(players, strategies, cells)
+    offers = []
+    for _ in range(rng.randint(10, 40)):
+        i, j = rng.sample(range(len(counts)), 2)
+        offers.append(Offer(players[i], players[j], rng.choice(strategies[j]), value()))
+    moved = apply_offer_set(game, OfferSet(game.space, tuple(offers)))
+    profile = tuple(rng.randrange(c) for c in counts)
+    margin = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+    return apply_offer_set(moved, make_profile_dominant(moved, profile, margin))
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [(3, 3, 3, 3), (6, 6, 6), (20, 20), (5, 5, 5, 5), (12, 12, 12), (8, 8, 8, 8)],
+    ids=lambda counts: "x".join(map(str, counts)),
+)
+def test_pareto_matches_skyline_on_transferred_games(counts):
+    rng = random.Random(f"pareto {counts}")
+    for rational in (False, True):
+        game = transferred_game(rng, counts, rational)
+        optimal = pareto_optimal(game)
+        assert optimal == skyline_pareto_optimal(game)
+        assert 1 < len(optimal) < game.shape.size
+        if game.shape.size <= 81:
+            assert optimal == quadratic_pareto_optimal(game)
+
+
+def test_pareto_across_chunks_in_linear_memory():
+    # 16,384 cells of (2v, -2v) over distinct v: every outcome is optimal,
+    # and the possible dominators take four chunks
+    side = 128
+    size = side * side
+    chunk = preplay.analyze._CHUNK
+    assert size >= 4 * chunk
+    rng = random.Random(64)
+    cells = [(2 * v, -2 * v) for v in rng.sample(range(-(10**6), 10**6), size)]
+    # exact copies, one pair either side of the first chunk boundary and one
+    # pair three chunks apart: copies never dominate each other
+    cells[chunk - 1] = cells[chunk]
+    cells[3] = cells[3 * chunk + 5]
+    # (2v - 1, -2v) is dominated by (2v, -2v) alone, which sits in a later chunk
+    dominated = (10, chunk + 1)
+    for low, high in zip(dominated, (2 * chunk + 7, size - 1)):
+        cells[low] = (cells[high][0] - 1, cells[high][1])
+    names = tuple(f"s{j + 1}" for j in range(side))
+    game = Game(("I", "II"), (names, names), tuple(cells))
+    game._scaled
+    tracemalloc.start()
+    try:
+        optimal = pareto_optimal(game)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    shape = game.shape
+    assert optimal == frozenset(shape.profiles()) - {shape._profile_at(f) for f in dominated}
+    # one bit per pair of cells would take 32 MiB per player here
+    assert peak < 12 * 2**20
+
+
 def test_report_computes_dominance_once_per_player(monkeypatch):
     calls = []
     original = preplay.analyze.dominance
@@ -347,31 +442,40 @@ def test_report_computes_dominance_once_per_player(monkeypatch):
 
 
 def test_integer_view_is_computed_once_per_game(monkeypatch):
-    view = Game.__dict__["_scaled"]
+    # the view and the slice tables cut from it
     computed = []
+    for name in ("_scaled", "_slices"):
+        view = Game.__dict__[name]
 
-    def counting(game):
-        computed.append(game)
-        return view.func(game)
+        def counting(game, name=name, view=view):
+            computed.append((name, game))
+            return view.func(game)
 
-    patched = cached_property(counting)
-    patched.__set_name__(Game, "_scaled")
-    monkeypatch.setattr(Game, "_scaled", patched)
+        patched = cached_property(counting)
+        patched.__set_name__(Game, name)
+        monkeypatch.setattr(Game, name, patched)
     game = cube_game()
     report(game)
     make_profile_dominant(game, (0, 0, 0), 1)
-    assert computed == [game]
+    assert sorted(name for name, _ in computed) == ["_scaled", "_slices"]
+    assert all(built is game for _, built in computed)
 
 
 def test_cached_view_leaves_equality_hash_and_pickle_alone():
     game = prime_denominator_game()
     report(game)
     fresh = prime_denominator_game()
-    assert "_scaled" in vars(game) and "_scaled" not in vars(fresh)
+    for name in ("_scaled", "_slices"):
+        assert name in vars(game) and name not in vars(fresh)
     assert game == fresh and hash(game) == hash(fresh)
     copy = pickle.loads(pickle.dumps(game))
     assert copy == fresh and hash(copy) == hash(fresh)
     assert copy._scaled == fresh._scaled
+    assert copy._slices == fresh._slices
+    # tuples all the way down: a kernel cannot change a table another reads
+    for lists, opposing in game._slices:
+        assert type(lists) is tuple and type(opposing) is tuple
+        assert {type(entries) for entries in lists} == {tuple}
 
 
 def test_offer_set_table_leaves_equality_hash_repr_and_pickle_alone():
