@@ -36,7 +36,7 @@ from itertools import compress, count, repeat
 from operator import mul, ne, sub
 from typing import Optional, Sequence
 
-from .core import Game, GameShape, PayoffVector, Profile, StrategySpace, format_profile
+from .core import Game, GameShape, PayoffVector, Profile, StrategySpace, _fraction, format_profile
 from .errors import NameMismatch, ShapeMismatch
 
 __all__ = [
@@ -174,7 +174,7 @@ def _star_readout(
     """
     axes = list(zip(shape.strides, shape.strategy_counts))
     return [
-        [[Fraction(column[v * stride], scale) for v in range(length)] for stride, length in axes]
+        [[_fraction(column[v * stride], scale) for v in range(length)] for stride, length in axes]
         for scale, column in zip(scales, columns)
     ]
 

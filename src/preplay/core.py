@@ -12,6 +12,12 @@ strategy (``Game._slices``).  Apply and completion write a game through one
 outer-sum kernel (``_add_separable``), which adds on Python int pairs, one
 player at a time, and never reads the view.
 
+The hot loops of this module are the package's one reliance on
+``Fraction``'s private layout: ``_fraction`` builds a ``Fraction`` by filling
+its two slots, ``_numerator`` and ``_denominator``, and ``_add_separable``
+and ``Game._scaled`` read those slots directly instead of the ``numerator``
+and ``denominator`` properties.  No other module touches them.
+
 Profiles are tuples of 0-based strategy indices, one per player, in player
 order.  User-facing messages render indices 1-based.
 """
@@ -60,6 +66,20 @@ PayoffVector = tuple[Fraction, ...]
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 
 
+def _fraction(n: int, d: int) -> Fraction:
+    """``Fraction(n, d)`` for an int ``n`` and an int ``d > 0``, without
+    ``Fraction.__new__``'s type dispatch and sign handling: one gcd, then the
+    two slots of a bare instance are filled in lowest terms."""
+    g = math.gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    value = object.__new__(Fraction)
+    value._numerator = n
+    value._denominator = d
+    return value
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or string to an exact Fraction.
 
@@ -70,9 +90,11 @@ def as_rational(value: RationalLike) -> Fraction:
     them.  Floats are rejected outright — they would silently smuggle
     rounding error into a model whose whole point is exactness.
     """
-    # exact type first: for any other value, isinstance(value, Fraction) is a slow ABC check
+    # exact types first: for any other value, isinstance(value, Fraction) is a slow ABC check
     if type(value) is Fraction:
         return value
+    if type(value) is int:
+        return _fraction(value, 1)
     if isinstance(value, str):
         match = _RATIONAL.fullmatch(value)
         if match is None:
@@ -80,7 +102,7 @@ def as_rational(value: RationalLike) -> Fraction:
         sign, whole, denominator, decimals = match.groups()
         try:
             if denominator is None and decimals is None:
-                return Fraction(int(value))
+                return _fraction(int(value), 1)
             # each digit group is read alone, as Fraction(str) reads it, so
             # the int-to-str digit limit applies per group
             numerator = int(whole)
@@ -89,12 +111,16 @@ def as_rational(value: RationalLike) -> Fraction:
             else:
                 denominator = 10 ** len(decimals)
                 numerator = numerator * denominator + int(decimals)
-            return Fraction(-numerator if sign == "-" else numerator, denominator)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValueError(f"not a rational value: {value!r}") from exc
+        # _fraction takes d > 0: gcd(n, 0) would make n/0 read as 1 or -1
+        if denominator == 0:
+            raise ValueError(f"not a rational value: {value!r}")
+        return _fraction(-numerator if sign == "-" else numerator, denominator)
     if isinstance(value, bool):
         raise TypeError(f"not a rational value: {value!r}")
     if isinstance(value, int):
+        # an int subclass: Fraction reads it as the plain int it holds
         return Fraction(value)
     if isinstance(value, Fraction):
         return value
@@ -266,8 +292,9 @@ class Game:
     """A finite normal form game with exact payoffs.
 
     ``payoffs`` holds one payoff vector per profile in row-major order
-    (see ``GameShape.profiles``).  Instances are immutable; transformations
-    return new games over the same space.
+    (see ``GameShape.profiles``).  ``space`` is the ``StrategySpace`` that
+    construction validated, kept on the instance.  Instances are immutable;
+    transformations return new games over the same space.
     """
 
     players: tuple[str, ...]
@@ -307,11 +334,6 @@ class Game:
                 )
 
     @cached_property
-    def space(self) -> StrategySpace:
-        # __post_init__ fills this slot with the space it validated
-        return StrategySpace(self.players, self.strategies)
-
-    @cached_property
     def shape(self) -> GameShape:
         return self.space.shape
 
@@ -326,12 +348,12 @@ class Game:
         scales, columns = [], []
         for column in zip(*self.payoffs):
             # pairwise rounds keep the two sides of each lcm about equally long
-            parts = list({v.denominator for v in column})
+            parts = list({v._denominator for v in column})
             while len(parts) > 1:
                 parts = [math.lcm(*parts[i : i + 2]) for i in range(0, len(parts), 2)]
             scale = parts[0]
             scales.append(scale)
-            columns.append([v.numerator * (scale // v.denominator) for v in column])
+            columns.append([v._numerator * (scale // v._denominator) for v in column])
         return tuple(scales), tuple(zip(*columns))
 
     @cached_property
@@ -371,18 +393,18 @@ def _add_separable(
     Each player's column is expanded one axis at a time in row-major order
     as unreduced int pairs ``(a, b)``, so a cell's ``b`` is the product of
     only its own n + 1 step denominators, and each output payoff is one
-    ``Fraction`` built from its pair and the old payoff.  The game's
+    ``_fraction`` built from its pair and the old payoff.  The game's
     integer view ``_scaled`` is never read.
     """
     columns = []
     for k, column in enumerate(zip(*game.payoffs)):
-        pairs = [(origin[k].numerator, origin[k].denominator)]
+        pairs = [(origin[k]._numerator, origin[k]._denominator)]
         for axis in steps:
-            reads = [(s[k].numerator, s[k].denominator) for s in axis]
+            reads = [(s[k]._numerator, s[k]._denominator) for s in axis]
             pairs = [(a * sd + sn * b, b * sd) for a, b in pairs for sn, sd in reads]
         columns.append(
             [
-                Fraction(v.numerator * b + a * v.denominator, v.denominator * b)
+                _fraction(v._numerator * b + a * v._denominator, v._denominator * b)
                 for v, (a, b) in zip(column, pairs)
             ]
         )

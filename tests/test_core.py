@@ -1,3 +1,6 @@
+import copy
+import math
+import pickle
 import random
 import re
 import sys
@@ -16,10 +19,12 @@ from preplay import (
     StrategySpace,
     UnknownPlayer,
     UnknownStrategy,
+    apply_offer_set,
     as_rational,
     make_game,
     payoff_sum,
 )
+from preplay.core import _fraction
 from preplay.cli import parse_game, parse_seed_assignments, serialize_game
 from conftest import matching_pennies, pd_game
 
@@ -113,6 +118,42 @@ def test_as_rational_rejects_with_the_same_text():
         within = "7" * limit
         assert as_rational(within + "." + within) == Fraction(within + "." + within)
         assert as_rational(within + "/" + within) == 1
+
+
+def assert_same_fraction(value, reference):
+    """``value`` is a Fraction in lowest terms that every public view reads
+    as ``reference``."""
+    assert type(value) is Fraction
+    numerator, denominator = value.numerator, value.denominator
+    assert type(numerator) is int and type(denominator) is int
+    assert denominator > 0 and math.gcd(numerator, denominator) == 1
+    assert (numerator, denominator) == (reference.numerator, reference.denominator)
+    assert value == reference and hash(value) == hash(reference)
+    assert str(value) == str(reference) and repr(value) == repr(reference)
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value)):
+        assert type(twin) is Fraction and twin == reference and hash(twin) == hash(reference)
+
+
+def test_fraction_fills_the_slots_fraction_would_fill():
+    # _fraction and core's direct slot reads rely on this layout
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    rng = random.Random(16)
+    big = rng.randrange(10**999, 10**1000)  # 1,000 digits
+    numerators = [0, 1, 6, 35, 2**64, big, 6 * big, rng.randrange(10**999, 10**1000)]
+    denominators = [1, 2, 9, 10, 2**64 + 2, big, 7 * big, rng.randrange(10**999, 10**1000)]
+    for n in numerators + [-n for n in numerators]:
+        for d in denominators:
+            assert_same_fraction(_fraction(n, d), Fraction(n, d))
+
+
+def test_computed_payoffs_are_plain_fractions(corpus):
+    # raw-int cells go through as_rational, applied ones through _add_separable
+    for game, offer_set in corpus[:40]:
+        for built in (game, apply_offer_set(game, offer_set)):
+            for value in (v for cell in built.payoffs for v in cell):
+                assert_same_fraction(value, Fraction(value.numerator, value.denominator))
+    for n in (0, 1, -1, 10**999, -(10**999)):
+        assert_same_fraction(as_rational(n), Fraction(n))
 
 
 def test_make_game_pd():
