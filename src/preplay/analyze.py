@@ -1,30 +1,32 @@
 """Pure-strategy analysis on a game's exact integer view.
 
-Every kernel reads ``Game._scaled``: the payoffs as Python ints over one
-common denominator per player, computed once per game.  One player's ints
-compare exactly as their ``Fraction``s do, so pure Nash equilibria,
-strict/weak dominance between one player's strategies and Pareto-optimal
-outcomes need no rational arithmetic at all; the constant-sum total is the
-one value converted back.  Nash, dominance and the strictly dominant profile
-compare one player's slice table (``Game._slices``): one tuple of ints per
-strategy, entry i of every tuple facing the same opposing profile.  Pareto
-optimality is a bitmap skyline over the distinct scaled payoff vectors: one
-Python-int bitset per player and payoff value, the possible dominators taken
-in fixed-width chunks so that memory stays linear in the number of cells.
+The per-player kernels read ``Game._scaled``: the payoffs as Python ints
+over one common denominator per player, stored by player and computed once
+per game.  One player's ints compare exactly as their ``Fraction``s do, so
+pure Nash equilibria, strict/weak dominance between one player's strategies
+and Pareto-optimal outcomes need no rational arithmetic at all.  The
+constant-sum test adds across players, whose scales may differ, so it reads
+each profile's exact total (``core._total``) instead of the view.
+
+Nash, dominance and the strictly dominant profile compare one player's slice
+table (``Game._slices``): one tuple of ints per strategy, entry i of every
+tuple facing the same opposing profile.  Pareto optimality is a bitmap
+skyline over the distinct scaled payoff vectors: one Python-int bitset per
+player and payoff value, the possible dominators taken in fixed-width chunks
+so that memory stays linear in the number of cells.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import and_, ge, gt, lshift, mul, ne, neg, or_, sub
+from operator import and_, ge, gt, lshift, ne, neg, or_, sub
 from typing import Iterator, Mapping, Optional
 
-from .core import Game, Profile
+from .core import Game, Profile, _total
 
 __all__ = [
     "AnalysisReport",
@@ -83,14 +85,13 @@ def dominance(game: Game, player: str) -> frozenset[DominancePair]:
 
 
 def constant_sum(game: Game) -> Optional[Fraction]:
-    """The common outcome total, if every outcome shares one."""
-    scales, rows = game._scaled
-    common = math.lcm(*scales)
-    weights = [common // scale for scale in scales]
-    totals = (sum(map(mul, row, weights)) for row in rows)
-    first = next(totals)
-    if all(total == first for total in totals):
-        return Fraction(first, common)
+    """The common outcome total, if every outcome shares one.  Each total is
+    summed over its own profile's denominators (``_total``), so no player's
+    common denominator is ever computed."""
+    totals = map(_total, game.payoffs)
+    num, den = next(totals)
+    if all(n * den == num * d for n, d in totals):
+        return Fraction(num, den)
     return None
 
 
@@ -110,7 +111,8 @@ def pareto_optimal(game: Game) -> frozenset[Profile]:
     sets of at most ``_CHUNK`` bits per player, so extra memory grows with
     the number of cells, not with its square.
     """
-    _, rows = game._scaled
+    # the one kernel that compares whole payoff vectors, one per profile
+    rows = list(zip(*game._scaled[1]))
     vectors = list(dict.fromkeys(rows))
     size = len(vectors)
     # negated, so that ascending order is best first

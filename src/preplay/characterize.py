@@ -18,7 +18,10 @@ them is reached by some offer set, which the synthesis module constructs.
 The check reads the games' integer views (``Game._scaled``) instead of
 ``Fraction``s: player k's differences become ints over one scale, the lcm of
 the two games' scales for k, so each difference and each C2 step is one int
-subtraction.  Synthesis reads the same view and turns only the coordinate
+subtraction.  C1 adds a profile's ints across players where every player
+has one scale; where the scales differ, it compares the two games' profile
+totals, each summed exactly over the profile's own denominators by
+``core._total``.  Synthesis reads the same view and turns only the coordinate
 star of (0,…,0) back into ``Fraction``s.  ``diff_tensor`` stays the public
 ``Fraction`` tensor; neither kernel builds it.
 
@@ -36,7 +39,9 @@ from itertools import compress, count, repeat
 from operator import mul, ne, sub
 from typing import Optional, Sequence
 
-from .core import Game, GameShape, PayoffVector, Profile, StrategySpace, _fraction, format_profile
+from .core import (
+    Game, GameShape, PayoffVector, Profile, StrategySpace, _fraction, _total, format_profile
+)
 from .errors import NameMismatch, ShapeMismatch
 
 __all__ = [
@@ -140,10 +145,10 @@ def _diff_view(source: Game, target: Game) -> tuple[tuple[int, ...], list[list[i
     shape.
     """
     _require_same_frame(source, target)
-    s_scales, s_rows = source._scaled
-    t_scales, t_rows = target._scaled
+    s_scales, s_columns = source._scaled
+    t_scales, t_columns = target._scaled
     scales, columns = [], []
-    for s_scale, t_scale, s_col, t_col in zip(s_scales, t_scales, zip(*s_rows), zip(*t_rows)):
+    for s_scale, t_scale, s_col, t_col in zip(s_scales, t_scales, s_columns, t_columns):
         scale = math.lcm(s_scale, t_scale)
         if scale != s_scale:
             s_col = map(mul, s_col, repeat(scale // s_scale))
@@ -152,15 +157,6 @@ def _diff_view(source: Game, target: Game) -> tuple[tuple[int, ...], list[list[i
         scales.append(scale)
         columns.append(list(map(sub, t_col, s_col)))
     return tuple(scales), columns
-
-
-def _total(cell: PayoffVector) -> tuple[int, int]:
-    """A payoff vector's sum as an unreduced ``(numerator, denominator)``."""
-    num, den = 0, 1
-    for v in cell:
-        d = v.denominator
-        num, den = num * d + v.numerator * den, den * d
-    return num, den
 
 
 def _star_readout(

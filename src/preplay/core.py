@@ -5,18 +5,21 @@ payoff vector per strategy profile.  All payoffs (and, elsewhere in the
 package, all payment amounts) are ``fractions.Fraction`` values, so every
 transformation and every equality test is exact; nothing is ever rounded.
 Each game also caches its payoffs as Python ints over one common denominator
-per player (``Game._scaled``); the analysis kernels, the reachability check
-and synthesis read that integer view instead of the ``Fraction``s, and the
-Nash and dominance kernels read it cut into one tuple per player and
-strategy (``Game._slices``).  Apply and completion write a game through one
-outer-sum kernel (``_add_separable``), which adds on Python int pairs, one
-player at a time, and never reads the view.
+per player (``Game._scaled``), stored by player: one tuple of ints per
+player.  Every per-player comparison reads that integer view instead of the
+``Fraction``s: the reachability check, synthesis, Pareto, and the Nash and
+dominance kernels, which read it cut into one tuple per player and strategy
+(``Game._slices``).  A profile's total across players whose scales
+differ is read by ``_total`` instead, one exact sum over the profile's own
+denominators.  Apply and completion write a game through one outer-sum
+kernel (``_add_separable``), which adds on Python int pairs, one player at a
+time, and never reads the view.
 
 The hot loops of this module are the package's one reliance on
 ``Fraction``'s private layout: ``_fraction`` builds a ``Fraction`` by filling
-its two slots, ``_numerator`` and ``_denominator``, and ``_add_separable``
-and ``Game._scaled`` read those slots directly instead of the ``numerator``
-and ``denominator`` properties.  No other module touches them.
+its two slots, ``_numerator`` and ``_denominator``, and ``_add_separable``,
+``_total`` and ``Game._scaled`` read those slots directly instead of the
+``numerator`` and ``denominator`` properties.  No other module touches them.
 
 Profiles are tuples of 0-based strategy indices, one per player, in player
 order.  User-facing messages render indices 1-based.
@@ -339,8 +342,9 @@ class Game:
 
     @cached_property
     def _scaled(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """The payoffs as Python ints over one common denominator per player:
-        ``(scales, rows)`` with ``rows[f][k] == payoffs[f][k] * scales[k]`` and
+        """The payoffs as Python ints over one common denominator per player,
+        stored by player: ``(scales, columns)`` with ``columns[k][f] ==
+        payoffs[f][k] * scales[k]`` for the row-major flat index f, and
         ``scales[k]`` the lcm of player k's payoff denominators.  Player k's
         ints compare and subtract exactly as their ``Fraction``s do, so
         read-only kernels can work on them directly.  One scale per player
@@ -353,8 +357,8 @@ class Game:
                 parts = [math.lcm(*parts[i : i + 2]) for i in range(0, len(parts), 2)]
             scale = parts[0]
             scales.append(scale)
-            columns.append([v._numerator * (scale // v._denominator) for v in column])
-        return tuple(scales), tuple(zip(*columns))
+            columns.append(tuple([v._numerator * (scale // v._denominator) for v in column]))
+        return tuple(scales), tuple(columns)
 
     @cached_property
     def _slices(self) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]], ...]:
@@ -366,9 +370,7 @@ class Game:
         tuples, for the analysis kernels and ``make_profile_dominant``."""
         shape = self.shape
         tables = []
-        for stride, count, column in zip(
-            shape.strides, shape.strategy_counts, zip(*self._scaled[1])
-        ):
+        for stride, count, column in zip(shape.strides, shape.strategy_counts, self._scaled[1]):
             block = stride * count
             opposing = tuple(
                 start + low for start in range(0, shape.size, block) for low in range(stride)
@@ -382,6 +384,18 @@ class Game:
     def payoff(self, profile: Sequence[int]) -> PayoffVector:
         """The payoff vector at a profile of 0-based strategy indices."""
         return self.payoffs[self.shape.flat_index(profile)]
+
+
+def _total(cell: PayoffVector) -> tuple[int, int]:
+    """A payoff vector's sum as an unreduced ``(numerator, denominator)``,
+    over the product of the vector's own denominators: how profile totals
+    compare across players whose scales differ, since that product stays
+    short even where the players' scales are long."""
+    num, den = 0, 1
+    for v in cell:
+        d = v._denominator
+        num, den = num * d + v._numerator * den, den * d
+    return num, den
 
 
 def _add_separable(

@@ -87,6 +87,44 @@ def test_constant_sum_detection(m0):
     assert constant_sum(shifted) == 5
 
 
+def constant_sum_prime_game(rng, counts, primes):
+    """A constant-sum game whose payoffs for every player but the last each
+    have their own prime denominator; the last player's payoff completes the
+    fixed total 7/11."""
+    total = Fraction(7, 11)
+    cells = []
+    for _ in range(math.prod(counts)):
+        head = [
+            Fraction(rng.randint(-3, 3) * p + rng.randrange(1, p), p)
+            for p in (next(primes) for _ in counts[1:])
+        ]
+        cells.append((*head, total - sum(head)))
+    names = tuple(tuple(f"s{j}" for j in range(c)) for c in counts)
+    return Game(tuple(f"P{i}" for i in range(len(counts))), names, tuple(cells))
+
+
+def test_constant_sum_matches_reference_on_prime_denominators():
+    rng = random.Random(97)
+    primes = iter(p for p in range(13, 10**5) if all(p % d for d in range(2, math.isqrt(p) + 1)))
+    for counts in ((5, 5), (2, 3, 4), (3, 3, 3), (2, 2, 3, 2)):
+        game = constant_sum_prime_game(rng, counts, primes)
+        assert constant_sum(game) == reference_constant_sum(game) == Fraction(7, 11)
+        # one payoff off the total: no common total
+        cells = list(game.payoffs)
+        flat = rng.randrange(len(cells))
+        cells[flat] = (cells[flat][0] + Fraction(1, next(primes)), *cells[flat][1:])
+        broken = Game(game.players, game.strategies, tuple(cells))
+        assert constant_sum(broken) is reference_constant_sum(broken) is None
+
+
+def test_constant_sum_leaves_the_integer_view_unbuilt():
+    game = prime_denominator_game()
+    assert constant_sum(game) == reference_constant_sum(game)
+    assert "_scaled" not in vars(game)
+    pennies = matching_pennies()
+    assert constant_sum(pennies) == 0 and "_scaled" not in vars(pennies)
+
+
 def test_constant_sum_invariant_under_offers():
     rng = random.Random(3)
     pennies = matching_pennies()
@@ -229,7 +267,7 @@ def skyline_pareto_optimal(game: Game) -> frozenset[Profile]:
     visited by descending scaled sum, in groups of equal sum, and each is
     tested with >= against the optimal outcomes of earlier groups only.  Fast
     where few outcomes are optimal, quadratic where most are."""
-    _, rows = game._scaled
+    rows = list(zip(*game._scaled[1]))
     totals = [sum(row) for row in rows]
     order = sorted(range(len(rows)), key=totals.__getitem__, reverse=True)
     skyline: list[tuple[int, ...]] = []
@@ -347,12 +385,15 @@ def test_analysis_matches_references_on_prime_denominators():
     game = prime_denominator_game()
     denominators = [v.denominator for cell in game.payoffs for v in cell]
     assert len(set(denominators)) == 81
-    scales, rows = game._scaled
+    scales, columns = game._scaled
     assert scales == tuple(math.prod(v.denominator for v in column) for column in zip(*game.payoffs))
+    # stored by player: column k holds player k's ints in row-major profile order
+    assert len(columns) == len(game.players)
+    assert all(type(column) is tuple and len(column) == game.shape.size for column in columns)
     assert all(
-        Fraction(r, s) == v
-        for row, cell in zip(rows, game.payoffs)
-        for r, s, v in zip(row, scales, cell)
+        Fraction(columns[k][f], scales[k]) == cell[k]
+        for f, cell in enumerate(game.payoffs)
+        for k in range(len(cell))
     )
     assert_matches_references(game)
 

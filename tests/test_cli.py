@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 import preplay
 from preplay import ParseError, apply_offer_set, make_game
 from preplay.cli import (
+    _MAX_CELLS,
     _MAX_PLAYERS,
     _MAX_SCALE_BITS,
     _check_scales,
+    _parse_frame,
     format_matrix,
     format_report,
     parse_game,
@@ -472,6 +474,27 @@ def test_player_count_at_and_past_the_limit(files, capsys):
     assert run(["synth", past, past]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "past.json: players: 65 players" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def frame_doc(counts) -> dict:
+    """A game document's frame alone: one player per strategy count."""
+    return {
+        "players": [f"P{i}" for i in range(len(counts))],
+        "strategies": [[f"s{j}" for j in range(c)] for c in counts],
+    }
+
+
+def test_profile_count_at_and_past_the_limit(files, capsys):
+    assert _MAX_CELLS == 128 * 128 and _MAX_CELLS + 1 == 5 * 29 * 113
+    assert _parse_frame(frame_doc((128, 128)), "doc").shape.size == _MAX_CELLS
+    with pytest.raises(ParseError, match=r"^doc: strategies: 16385 profiles; at most 16384"):
+        _parse_frame(frame_doc((5, 29, 113)), "doc")
+    # rejected before the payoff walk, so a missing payoffs array is never reported
+    past = files("past.json", json.dumps({"schema": 1, **frame_doc((5, 29, 113))}))
+    assert run(["analyze", past]) == 2
+    err = capsys.readouterr().err
+    assert "past.json: strategies: 16385 profiles" in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

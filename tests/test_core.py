@@ -1,4 +1,5 @@
 import copy
+import enum
 import math
 import pickle
 import random
@@ -222,6 +223,26 @@ def test_as_rational_keeps_a_fraction_subclass():
 
     value = Exact(3, 4)
     assert as_rational(value) is value
+
+
+def test_as_rational_reads_an_int_subclass_as_its_plain_int():
+    class Level(enum.IntEnum):
+        LOW = -2
+        HIGH = 5
+
+    class Count(int):
+        pass
+
+    for value in (Level.LOW, Level.HIGH, Count(7), Count(-3)):
+        rational = as_rational(value)
+        assert type(rational) is Fraction and rational == int(value)
+    # bool is an int subclass too, but True is not a payoff
+    with pytest.raises(TypeError):
+        as_rational(True)
+    subclassed = Game(("I", "II"), (("a", "b"), ("c",)), ((Level.LOW, Count(7)), (Level.HIGH, 0)))
+    plain = Game(("I", "II"), (("a", "b"), ("c",)), ((-2, 7), (5, 0)))
+    assert subclassed == plain
+    assert {type(v) for cell in subclassed.payoffs for v in cell} == {Fraction}
 
 
 def test_make_game_name_validation():
