@@ -16,32 +16,35 @@ as integers, integer strings, decimal strings ("0.5"), or ratio strings
 (integers without a denominator).  A game's payoff denominators may not
 be too varied: each player's payoffs share one least common denominator,
 and those denominators together may take at most 65,536 bits.  A game
-may have at most 64 players.  Seed
-documents reuse the same grammar with ``null`` for unspecified cells.  An
-offer document is
+may have at most 64 players and at most 16,384 profiles.  Seed documents
+reuse the same grammar with ``null`` for unspecified cells.  An offer
+document is
 
     {"schema": 1, "offers": [{"payer": "I", "payee": "II",
                               "strategy": "C", "amount": "2"}]}
 
 Exit codes: 0 success, 1 domain failure (target unreachable, seed sum
-violation, nonpositive margin), 2 malformed input.
+violation, nonpositive margin), 2 malformed input or a result too long to
+print: a number, in an output or a message, whose numerator or denominator
+has more digits than ``sys.get_int_max_str_digits()`` allows (4,300 by
+default).  That limit stays as it is, since it keeps int-to-str conversion
+of hostile numbers from taking quadratic time.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .analyze import pure_nash, report
 from .characterize import check_equivalence
 from .complete import Seed, complete_from_seed
-from .core import Game, Profile, StrategySpace, as_rational, make_game
+from .core import Game, Profile, StrategySpace, _scales, as_rational, make_game
 from .errors import (
     NonpositiveMargin,
     NotEquivalent,
@@ -99,11 +102,17 @@ def _expect_object(node, source: str, location: str) -> dict:
     return node
 
 
-def _expect_list(node, source: str, location: str, length: Optional[int] = None) -> list:
+def _array_fault(node, length: Optional[int]) -> str:
+    """What is wrong with ``node`` where an array of ``length`` elements
+    (of any length, where ``length`` is None) belongs."""
     if not isinstance(node, list):
-        raise ParseError(source, location, f"expected an array, got {type(node).__name__}")
-    if length is not None and len(node) != length:
-        raise ParseError(source, location, f"expected {length} elements, got {len(node)}")
+        return f"expected an array, got {type(node).__name__}"
+    return f"expected {length} elements, got {len(node)}"
+
+
+def _expect_list(node, source: str, location: str, length: Optional[int] = None) -> list:
+    if not isinstance(node, list) or length is not None and len(node) != length:
+        raise ParseError(source, location, _array_fault(node, length))
     return node
 
 
@@ -147,6 +156,13 @@ def _check_schema(doc: dict, source: str) -> None:
         raise ParseError(source, "schema", f"unsupported schema version {version!r}")
 
 
+def _open_document(data: Union[str, bytes], source: str) -> dict:
+    """A document's JSON object, once its schema version is checked."""
+    doc = _expect_object(_load_json(data, source), source, "document")
+    _check_schema(doc, source)
+    return doc
+
+
 def _parse_frame(doc: dict, source: str) -> StrategySpace:
     players = _expect_list(doc.get("players"), source, "players")
     if len(players) > _MAX_PLAYERS:
@@ -175,12 +191,6 @@ def _parse_frame(doc: dict, source: str) -> StrategySpace:
     return space
 
 
-def _array_fault(node, length: int) -> _Fault:
-    if not isinstance(node, list):
-        return _Fault(f"expected an array, got {type(node).__name__}")
-    return _Fault(f"expected {length} elements, got {len(node)}")
-
-
 def _read_payoffs(node, space: StrategySpace, source: str, nulls: bool = False) -> list:
     """The cells of a document's ``payoffs`` in row-major order: each a tuple
     of ``Fraction``s, or ``None`` for a ``null`` cell where ``nulls`` admits
@@ -202,7 +212,7 @@ def _read_payoffs(node, space: StrategySpace, source: str, nulls: bool = False) 
 
     def walk(node, depth: int) -> None:
         if type(node) is not list or len(node) != counts[depth]:
-            raise _array_fault(node, counts[depth])
+            raise _Fault(_array_fault(node, counts[depth]))
         try:
             if depth < last:
                 for i, child in enumerate(node):
@@ -224,7 +234,7 @@ def _read_payoffs(node, space: StrategySpace, source: str, nulls: bool = False) 
                 elif cell is None and nulls:
                     append(None)
                 else:
-                    raise _array_fault(cell, n)
+                    raise _Fault(_array_fault(cell, n))
         except _Fault as fault:
             fault.path.append(i)
             raise
@@ -239,30 +249,26 @@ def _read_payoffs(node, space: StrategySpace, source: str, nulls: bool = False) 
 
 def parse_game(data: Union[str, bytes], *, source: str = "<game>") -> Game:
     """Parse a game document; raises ParseError naming the offending element."""
-    doc = _expect_object(_load_json(data, source), source, "document")
-    _check_schema(doc, source)
+    doc = _open_document(data, source)
     space = _parse_frame(doc, source)
-    cells = _read_payoffs(doc.get("payoffs"), space, source)
-    _check_scales(cells, source)
-    return Game(space.players, space.strategies, tuple(cells), _space=space)
+    cells = tuple(_read_payoffs(doc.get("payoffs"), space, source))
+    scales = _check_scales(cells, source)
+    return Game(space.players, space.strategies, cells, _space=space, _known_scales=scales)
 
 
-def _check_scales(cells: list[tuple[Fraction, ...]], source: str) -> None:
-    """Reject payoffs whose per-player common denominators take more than
-    ``_MAX_SCALE_BITS`` together; each lcm stops growing past the limit."""
-    bits = 0
-    for column in zip(*cells):
-        scale = 1
-        for denominator in {v.denominator for v in column}:
-            scale = math.lcm(scale, denominator)
-            if bits + scale.bit_length() > _MAX_SCALE_BITS:
-                raise ParseError(
-                    source,
-                    "payoffs",
-                    f"denominators too varied: the players' common denominators "
-                    f"take more than {_MAX_SCALE_BITS} bits",
-                )
-        bits += scale.bit_length()
+def _check_scales(cells: Sequence[tuple[Fraction, ...]], source: str) -> tuple[int, ...]:
+    """The players' common payoff denominators (``core._scales``); rejects
+    payoffs whose denominators take more than ``_MAX_SCALE_BITS`` together,
+    as soon as a partial lcm shows it."""
+    scales = _scales(cells, _MAX_SCALE_BITS)
+    if scales is None:
+        raise ParseError(
+            source,
+            "payoffs",
+            f"denominators too varied: the players' common denominators "
+            f"take more than {_MAX_SCALE_BITS} bits",
+        )
+    return scales
 
 
 def _array(items: list[str], indent: int) -> str:
@@ -314,9 +320,7 @@ def parse_offers(
     With ``strict`` set, negative amounts are rejected (offers as raw
     promises of payment); by default they are admitted as reverse transfers.
     """
-    doc = _expect_object(_load_json(data, source), source, "document")
-    _check_schema(doc, source)
-    entries = _expect_list(doc.get("offers"), source, "offers")
+    entries = _expect_list(_open_document(data, source).get("offers"), source, "offers")
     offers = []
     for i, entry in enumerate(entries):
         location = f"offers[{i}]"
@@ -357,8 +361,7 @@ def parse_seed_assignments(
 ) -> dict[Profile, tuple[Fraction, ...]]:
     """Parse a seed document: the game document grammar with ``null`` in
     every unspecified cell.  Players and strategies must match the game."""
-    doc = _expect_object(_load_json(data, source), source, "document")
-    _check_schema(doc, source)
+    doc = _open_document(data, source)
     space = _parse_frame(doc, source)
     if space != game.space:
         raise ParseError(
@@ -389,69 +392,59 @@ def format_matrix(game: Game) -> str:
     )
 
 
-def _format_profiles(game: Game, profiles) -> str:
-    if not profiles:
-        return "none"
-    return ", ".join(game.space.name_profile(p) for p in sorted(profiles))
+def _named(game: Game, profiles) -> list[list[str]]:
+    """Profiles in index order, each as its strategy names."""
+    return [list(game.space.profile_names(p)) for p in sorted(profiles)]
 
 
-def _sorted_pairs(game: Game, player: str, pairs):
-    index = {name: i for i, name in enumerate(game.strategies[game.space.player_index(player)])}
-    return sorted(pairs, key=lambda pair: (index[pair[0]], index[pair[1]], pair[2]))
+def _profiles_text(profiles: list[list[str]]) -> str:
+    """Named profiles as ``(C,D), (D,C)``, or ``none``."""
+    return ", ".join("(" + ",".join(p) + ")" for p in profiles) or "none"
+
+
+def _report(game: Game) -> dict:
+    """``report(game)`` as the document ``analyze --json`` writes, in the
+    order both formats write it: profiles in index order, and each player's
+    dominance pairs by dominating strategy, dominated strategy, then kind
+    ("strict" before "weak")."""
+    analysis = report(game)
+    dominance = {}
+    for k, player in enumerate(game.players):
+        index = {name: i for i, name in enumerate(game.strategies[k])}
+        pairs = sorted(analysis.dominance[player], key=lambda p: (index[p[0]], index[p[1]], p[2]))
+        dominance[player] = [{"dominator": s, "dominated": t, "kind": kind} for s, t, kind in pairs]
+    dominant = analysis.strictly_dominant_profile
+    return {
+        "players": list(game.players),
+        "pure_nash": _named(game, analysis.pure_nash),
+        "dominance": dominance,
+        "constant_sum": str(analysis.constant_sum) if analysis.constant_sum is not None else None,
+        "pareto_optimal": _named(game, analysis.pareto_optimal),
+        "strictly_dominant_profile": (
+            list(game.space.profile_names(dominant)) if dominant is not None else None
+        ),
+    }
 
 
 def format_report(game: Game) -> str:
-    analysis = report(game)
-    lines = [f"players: {', '.join(game.players)}"]
-    lines.append(f"pure Nash equilibria: {_format_profiles(game, analysis.pure_nash)}")
-    lines.append("dominance:")
-    for player in game.players:
-        pairs = analysis.dominance[player]
-        strict = {(s, t) for s, t, kind in pairs if kind == "strict"}
-        phrases = []
-        for s, t, kind in _sorted_pairs(game, player, pairs):
-            if kind == "strict":
-                phrases.append(f"{s} strictly dominates {t}")
-            elif (s, t) not in strict:
-                phrases.append(f"{s} weakly dominates {t}")
-        lines.append(f"  {player}: " + ("; ".join(phrases) if phrases else "none"))
-    total = analysis.constant_sum
-    lines.append(f"constant sum: {str(total) if total is not None else 'none'}")
-    lines.append(f"Pareto optimal: {_format_profiles(game, analysis.pareto_optimal)}")
-    dominant = analysis.strictly_dominant_profile
-    lines.append(
-        "strictly dominant profile: "
-        + (game.space.name_profile(dominant) if dominant is not None else "none")
-    )
+    doc = _report(game)
+    lines = [
+        f"players: {', '.join(doc['players'])}",
+        f"pure Nash equilibria: {_profiles_text(doc['pure_nash'])}",
+        "dominance:",
+    ]
+    for player, pairs in doc["dominance"].items():
+        # "strict" sorts before "weak", so a pair's first kind is its strongest
+        kinds = {}
+        for p in pairs:
+            kinds.setdefault((p["dominator"], p["dominated"]), p["kind"])
+        phrases = "; ".join(f"{s} {kind}ly dominates {t}" for (s, t), kind in kinds.items())
+        lines.append(f"  {player}: {phrases or 'none'}")
+    lines.append(f"constant sum: {doc['constant_sum'] or 'none'}")
+    lines.append(f"Pareto optimal: {_profiles_text(doc['pareto_optimal'])}")
+    dominant = doc["strictly_dominant_profile"]
+    lines.append(f"strictly dominant profile: {_profiles_text([dominant] if dominant else [])}")
     return "\n".join(lines) + "\n"
-
-
-def _json_report(game: Game) -> str:
-    analysis = report(game)
-    names = game.space.profile_names
-    doc = {
-        "players": list(game.players),
-        "pure_nash": [list(names(p)) for p in sorted(analysis.pure_nash)],
-        "dominance": {
-            player: [
-                {"dominator": s, "dominated": t, "kind": kind}
-                for s, t, kind in _sorted_pairs(game, player, analysis.dominance[player])
-            ]
-            for player in game.players
-        },
-        "constant_sum": (
-            str(analysis.constant_sum)
-            if analysis.constant_sum is not None
-            else None
-        ),
-        "pareto_optimal": [list(names(p)) for p in sorted(analysis.pareto_optimal)],
-        "strictly_dominant_profile": (
-            list(names(analysis.strictly_dominant_profile))
-            if analysis.strictly_dominant_profile is not None
-            else None
-        ),
-    }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +536,7 @@ def _cmd_dominate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     game = _read_game(args.game)
-    sys.stdout.write(_json_report(game) if args.json else format_report(game))
+    _emit(args, json.dumps(_report(game), indent=2) + "\n" if args.json else format_report(game))
     return 0
 
 
@@ -570,8 +563,7 @@ def _cmd_demo(args) -> int:
             game = apply_offer_set(game, OfferSet(space, (offer,)))
         out.append(f"{title}:")
         out.append(format_matrix(game))
-        nash = _format_profiles(game, pure_nash(game))
-        out.append(f"pure Nash equilibria: {nash}")
+        out.append(f"pure Nash equilibria: {_profiles_text(_named(game, pure_nash(game)))}")
         out.append("")
     sys.stdout.write("\n".join(out))
     return 0
@@ -656,8 +648,15 @@ def run(argv=None) -> int:
         print(exc.verdict.describe(), file=sys.stderr)
         return 1
     except (PreplayError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except ValueError as exc:
+        # str() of an int past the int-to-str digit limit, in an output or
+        # in a message; any other ValueError is a fault of the program
+        if "integer string conversion" not in str(exc):
+            raise
+        message = f"result: a number to print has more than {sys.get_int_max_str_digits()} digits"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def main() -> None:

@@ -6,9 +6,13 @@ package, all payment amounts) are ``fractions.Fraction`` values, so every
 transformation and every equality test is exact; nothing is ever rounded.
 Each game also caches its payoffs as Python ints over one common denominator
 per player (``Game._scaled``), stored by player: one tuple of ints per
-player.  Every per-player comparison reads that integer view instead of the
-``Fraction``s: the reachability check, synthesis, Pareto, and the Nash and
-dominance kernels, which read it cut into one tuple per player and strategy
+player.  ``_scales`` is the one routine that computes those denominators,
+the players' scales: ``Game._scaled`` calls it, and so does the game
+document parser, which bounds the scales and hands them to the ``Game`` it
+builds, so a parsed game's scales are computed once.  Every per-player
+comparison reads the integer view instead of the ``Fraction``s: the
+reachability check, synthesis, Pareto, and the Nash and dominance kernels,
+which read it cut into one tuple per player and strategy
 (``Game._slices``).  A profile's total across players whose scales
 differ is read by ``_total`` instead, one exact sum over the profile's own
 denominators.  Apply and completion write a game through one outer-sum
@@ -17,9 +21,10 @@ time, and never reads the view.
 
 The hot loops of this module are the package's one reliance on
 ``Fraction``'s private layout: ``_fraction`` builds a ``Fraction`` by filling
-its two slots, ``_numerator`` and ``_denominator``, and ``_add_separable``,
-``_total`` and ``Game._scaled`` read those slots directly instead of the
-``numerator`` and ``denominator`` properties.  No other module touches them.
+its two slots, ``_numerator`` and ``_denominator``, and ``_scales``,
+``_add_separable``, ``_total`` and ``Game._scaled`` read those slots
+directly instead of the ``numerator`` and ``denominator`` properties.  No
+other module touches them.
 
 Profiles are tuples of 0-based strategy indices, one per player, in player
 order.  User-facing messages render indices 1-based.
@@ -81,6 +86,44 @@ def _fraction(n: int, d: int) -> Fraction:
     value._numerator = n
     value._denominator = d
     return value
+
+
+def _lcm(values: list[int], lo: int, hi: int, room: float) -> Optional[int]:
+    """The lcm of ``values[lo:hi]`` as a balanced tree, built depth first by
+    halving, or None as soon as one partial lcm takes more than ``room``
+    bits.  Both sides of each lcm stay about equally long, and partial lcms
+    grow as early as a running lcm's would."""
+    lcm = values[lo]
+    if hi - lo > 1:
+        mid = (lo + hi) // 2
+        # None, once returned, passes up the tree
+        left = _lcm(values, lo, mid, room)
+        right = left and _lcm(values, mid, hi, room)
+        lcm = right and math.lcm(left, right)
+    return lcm if lcm and lcm.bit_length() <= room else None
+
+
+def _scales(cells: Sequence[PayoffVector], bits: Optional[int] = None) -> Optional[tuple[int, ...]]:
+    """Each player's scale: the lcm of that player's payoff denominators in
+    ``cells``, one payoff vector per profile, built as ``_lcm``'s tree.
+
+    Given ``bits``, returns None as soon as one partial lcm, plus the
+    earlier players' scales, takes more than ``bits`` bits.  A partial lcm
+    divides its player's scale, so that is exactly when the scales take
+    more than ``bits`` bits together.
+    """
+    scales = []
+    room = math.inf if bits is None else bits
+    # player by player through the cells: a transpose here would repeat the
+    # one that Game._scaled makes for its columns
+    for k in range(len(cells[0])):
+        values = list({cell[k]._denominator for cell in cells})
+        scale = _lcm(values, 0, len(values), room)
+        if scale is None:
+            return None
+        room -= scale.bit_length()
+        scales.append(scale)
+    return tuple(scales)
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -307,8 +350,12 @@ class Game:
     # a StrategySpace a caller inside the package has already validated; it
     # is used only if it names exactly the players and strategies given
     _space: InitVar[Optional[StrategySpace]] = None
+    # the payoffs' scales (``_scales(payoffs)``) a caller inside the package
+    # has already computed; ``_scaled`` takes them over instead of computing
+    # them again
+    _known_scales: InitVar[Optional[tuple[int, ...]]] = None
 
-    def __post_init__(self, _space: Optional[StrategySpace]):
+    def __post_init__(self, _space: Optional[StrategySpace], _known_scales):
         space = _space
         if space is None or (space.players, space.strategies) != (self.players, self.strategies):
             space = StrategySpace(tuple(self.players), tuple(tuple(r) for r in self.strategies))
@@ -335,6 +382,8 @@ class Game:
                 raise ArityMismatch(
                     f"payoff vector of length {len(cell)} in a {n}-player game"
                 )
+        if _known_scales is not None:
+            object.__setattr__(self, "_known_scales", _known_scales)
 
     @cached_property
     def shape(self) -> GameShape:
@@ -349,16 +398,14 @@ class Game:
         ints compare and subtract exactly as their ``Fraction``s do, so
         read-only kernels can work on them directly.  One scale per player
         keeps each int as short as that player's own denominators allow."""
-        scales, columns = [], []
-        for column in zip(*self.payoffs):
-            # pairwise rounds keep the two sides of each lcm about equally long
-            parts = list({v._denominator for v in column})
-            while len(parts) > 1:
-                parts = [math.lcm(*parts[i : i + 2]) for i in range(0, len(parts), 2)]
-            scale = parts[0]
-            scales.append(scale)
-            columns.append(tuple([v._numerator * (scale // v._denominator) for v in column]))
-        return tuple(scales), tuple(columns)
+        # scales given at construction are handed over once, so that the
+        # instance then holds what a fresh game's view leaves
+        scales = self.__dict__.pop("_known_scales", None) or _scales(self.payoffs)
+        columns = tuple(
+            tuple([v._numerator * (scale // v._denominator) for v in column])
+            for scale, column in zip(scales, zip(*self.payoffs))
+        )
+        return scales, columns
 
     @cached_property
     def _slices(self) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]], ...]:

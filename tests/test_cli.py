@@ -440,15 +440,18 @@ def hostile_denominator_doc(size: int, digits: int) -> str:
 def test_hostile_denominators_exit_2_within_deadline(files, capsys):
     # 256 payoffs per player over 1000-digit denominators: one common
     # denominator per player would take ~850k bits, and so would each of
-    # the 512 payoffs scaled over it
-    path = files("wide.json", hostile_denominator_doc(16, 1000))
-    for argv in (["analyze", path], ["dominate", path, "--profile", "s0,s0"]):
-        start = time.perf_counter()
-        assert run(argv) == 2
-        assert time.perf_counter() - start < 2
-        err = capsys.readouterr().err
-        assert "wide.json: payoffs: denominators too varied" in err
-        assert err.count("\n") == 1 and "Traceback" not in err
+    # the 512 payoffs scaled over it.  16,384 payoffs per player over
+    # 6-digit denominators: a running lcm takes thousands of steps to pass
+    # the limit, each on a longer lcm
+    for doc in (hostile_denominator_doc(16, 1000), hostile_denominator_doc(128, 6)):
+        path = files("wide.json", doc)
+        for argv in (["analyze", path], ["dominate", path, "--profile", "s0,s0"]):
+            start = time.perf_counter()
+            assert run(argv) == 2
+            assert time.perf_counter() - start < 2
+            err = capsys.readouterr().err
+            assert "wide.json: payoffs: denominators too varied" in err
+            assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def padded_game_doc(player_count: int) -> str:
@@ -633,9 +636,97 @@ def test_contract_documents_are_valid():
         assert run_on_documents(command, docs) == (0, "")
 
 
+# ---------------------------------------------------------------------------
+# documents that pass every check but whose result has a number too long to
+# print: str() refuses ints past sys.get_int_max_str_digits(), 4,300 digits
+
+NINES = "9" * 4300
+# 4,300 nines either side of the point: a numerator of 8,600 digits
+LONG_DECIMAL = f"{NINES}.{NINES}"
+# coprime 4,000-digit denominators: their product has about 8,000 digits
+D1 = 10**3999 + 1
+D2 = D1 + 1
+
+
+def one_cell_doc(payoff_i, payoff_ii) -> bytes:
+    """A game document in which each of two players has one strategy."""
+    return json.dumps(
+        {
+            "schema": 1,
+            "players": ["I", "II"],
+            "strategies": [["a"], ["b"]],
+            "payoffs": [[[payoff_i, payoff_ii]]],
+        }
+    ).encode()
+
+
+def offers_doc(*amounts, strategy="C") -> bytes:
+    """Offers from player I to player II if II plays ``strategy``."""
+    offers = [{"payer": "I", "payee": "II", "strategy": strategy, "amount": a} for a in amounts]
+    return json.dumps({"schema": 1, "offers": offers}).encode()
+
+
+LONG_DOCS = {
+    "long.json": one_cell_doc(LONG_DECIMAL, "0"),
+    "none.json": offers_doc(),
+    "coprime.json": one_cell_doc(f"1/{D1}", f"1/{D2}"),
+    "over-d1.json": one_cell_doc(f"1/{D1}", "0"),
+    "over-d2.json": offers_doc(f"1/{D2}", strategy="b"),
+    "m0.json": M0_DOC.encode(),
+    "negative.json": offers_doc("-" + LONG_DECIMAL),
+    # the seed sum message prints the long total of (C,C)
+    "seed.json": SEED_DOC.replace('["4", "4"]', f'["{LONG_DECIMAL}", "0"]').encode(),
+}
+
+# (command, its documents by role) as test_cli_input_contract takes them
+LONG_CASES = [
+    ("apply", {"game": LONG_DOCS["long.json"], "offers": LONG_DOCS["none.json"]}),
+    ("analyze", {"game": LONG_DOCS["coprime.json"]}),
+    ("analyze --json", {"game": LONG_DOCS["coprime.json"]}),
+    ("apply", {"game": LONG_DOCS["over-d1.json"], "offers": LONG_DOCS["over-d2.json"]}),
+    ("complete", {"game": LONG_DOCS["m0.json"], "seed": LONG_DOCS["seed.json"]}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "long.json", "none.json"],
+        ["apply", "over-d1.json", "over-d2.json"],
+        ["apply", "--strict", "m0.json", "negative.json"],
+        ["analyze", "coprime.json"],
+        ["analyze", "coprime.json", "--json"],
+        ["complete", "m0.json", "seed.json"],
+        ["dominate", "m0.json", "--profile", "C,C", "--margin", LONG_DECIMAL],
+        ["dominate", "m0.json", "--profile", "C,C", "--margin", "-" + LONG_DECIMAL],
+    ],
+    ids=[
+        "apply-long-payoff",
+        "apply-long-denominator",
+        "apply-strict-negative-amount",
+        "analyze-constant-sum",
+        "analyze-json-constant-sum",
+        "complete-seed-sum-message",
+        "dominate-positive-margin",
+        "dominate-negative-margin",
+    ],
+)
+def test_a_result_too_long_to_print_exits_2(files, capsys, argv):
+    paths = {name: files(name, text) for name, text in LONG_DOCS.items()}
+    assert run([paths.get(arg, arg) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: result: a number to print has more than 4300 digits\n"
+
+
 @settings(max_examples=300, deadline=None)
 @example(("analyze", {"game": b"\xff\xfe{"}))
 @example(("analyze", {"game": M0_DOC.replace('"I"', '"\\ud800"', 1).encode()}))
+@example(LONG_CASES[0])
+@example(LONG_CASES[1])
+@example(LONG_CASES[2])
+@example(LONG_CASES[3])
+@example(LONG_CASES[4])
 @given(cli_inputs())
 def test_cli_input_contract(case):
     code, err = run_on_documents(*case)

@@ -25,7 +25,7 @@ from preplay import (
     make_game,
     payoff_sum,
 )
-from preplay.core import _fraction
+from preplay.core import _fraction, _scales
 from preplay.cli import parse_game, parse_seed_assignments, serialize_game
 from conftest import matching_pennies, pd_game
 
@@ -414,3 +414,73 @@ def test_strategy_space_lookup_errors():
         space.strategy_index("I", "E")
     with pytest.raises(ArityMismatch):
         space.profile_from_names(("C",))
+
+
+# ---------------------------------------------------------------------------
+# each player's scale: one lcm tree, and a bound checked as the tree grows
+
+
+def primes_from(start):
+    return (p for p in range(start, 10**6) if all(p % d for d in range(2, math.isqrt(p) + 1)))
+
+
+def denominator_cells(rng, counts, kind):
+    """Cells for ``len(counts)`` players in which player k's payoffs have
+    ``counts[k]`` distinct denominators: short, long or prime."""
+    primes = primes_from(rng.randrange(2, 5000))
+    columns = []
+    for count in counts:
+        pool = set()
+        while len(pool) < count:
+            if kind == "short":
+                pool.add(rng.randrange(1, 10**4))
+            elif kind == "long":
+                pool.add(rng.randrange(10**39, 10**40))
+            else:
+                pool.add(next(primes))
+        # Fraction(1, d) keeps d; repeats pad every column to one length
+        column = [Fraction(1, d) for d in pool]
+        column += [rng.choice(column) for _ in range(max(counts) - count)]
+        rng.shuffle(column)
+        columns.append(column)
+    return list(zip(*columns))
+
+
+def reference_scales(cells):
+    return tuple(math.lcm(*(v.denominator for v in column)) for column in zip(*cells))
+
+
+# distinct denominators per player: powers of two and not, from 1 to 600
+SCALE_COUNTS = [(1, 2), (3, 4, 1), (7, 8, 9, 16), (64, 100), (255, 256, 257), (600, 31, 512)]
+
+
+@pytest.mark.parametrize("kind", ["short", "long", "prime"])
+def test_scales_match_a_per_player_lcm(kind):
+    rng = random.Random(f"scales {kind}")
+    for counts in SCALE_COUNTS:
+        cells = denominator_cells(rng, counts, kind)
+        assert {len({v.denominator for v in column}) for column in zip(*cells)} == set(counts)
+        assert _scales(cells) == reference_scales(cells)
+    # numerators that cancel into the denominators, and integer payoffs
+    cells = [(Fraction(6, 4), Fraction(3)), (Fraction(-10, 15), Fraction(5, 10))]
+    assert _scales(cells) == (6, 2)
+    assert _scales([(Fraction(1), Fraction(-2))] * 5) == (1, 1)
+
+
+def test_scales_bound_holds_exactly_at_the_sum_of_bit_lengths():
+    rng = random.Random("scale bound")
+    for kind in ("short", "long", "prime"):
+        for counts in SCALE_COUNTS:
+            cells = denominator_cells(rng, counts, kind)
+            scales = _scales(cells)
+            bits = sum(scale.bit_length() for scale in scales)
+            assert _scales(cells, bits) == scales
+            assert _scales(cells, bits - 1) is None
+    # powers of two spread the bits exactly: 2^9, 2^19 and 2^29 take 10, 20
+    # and 30 bits, and the bound counts them together
+    cells = [(Fraction(1, 2**9), Fraction(1, 2**19), Fraction(1, 2**29))]
+    assert _scales(cells, 60) == (2**9, 2**19, 2**29)
+    assert _scales(cells, 59) is None
+    # the first two players fit in 30 bits, and the third is past them
+    assert _scales([cells[0][:2]], 30) == (2**9, 2**19)
+    assert _scales(cells, 30) is None

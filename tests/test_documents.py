@@ -10,15 +10,20 @@ and write byte-identical documents.
 
 import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from preplay import Game, Offer, OfferSet, ParseError, as_rational, canonicalize
-from preplay import invert_offer_set, nonnegative_decomposition
+import preplay.cli
+import preplay.core
+from preplay import Game, Offer, OfferSet, ParseError, apply_offer_set, as_rational, canonicalize
+from preplay import check_equivalence, invert_offer_set, nonnegative_decomposition, report
+from preplay import synthesize_offers
 from preplay.cli import (
     SCHEMA_VERSION,
+    _MAX_SCALE_BITS,
     _check_scales,
     _check_schema,
     _expect_object,
@@ -440,3 +445,47 @@ def test_offer_writer_matches_json_dumps(corpus):
     for offer_set in sets:
         assert serialize_offers(offer_set) == reference_serialize_offers(offer_set)
     assert serialize_offers(sets[-1]).endswith('"offers": []\n}\n')
+
+
+# ---------------------------------------------------------------------------
+# a parsed game's scales: computed once, by the parser, and the same as a
+# fresh game's
+
+
+def test_parsed_view_matches_a_fresh_games(corpus):
+    games = [game for game, _ in corpus] + document_games()
+    for game in games:
+        parsed = parse_game(serialize_game(game))
+        fresh = Game(game.players, game.strategies, game.payoffs)
+        assert parsed._scaled == fresh._scaled
+        # the parser's scales are handed over, not kept beside the view
+        assert vars(parsed).keys() == vars(fresh).keys()
+    # a parsed game pickled before its view is built keeps its scales
+    parsed = parse_game(serialize_game(prime_denominator_game()))
+    copy_ = pickle.loads(pickle.dumps(parsed))
+    assert copy_ == parsed and copy_._scaled == prime_denominator_game()._scaled
+
+
+def test_a_parsed_documents_scales_are_computed_once(monkeypatch):
+    calls = []
+    scales = preplay.core._scales
+
+    def counting(cells, bits=None):
+        calls.append(bits)
+        return scales(cells, bits)
+
+    monkeypatch.setattr(preplay.core, "_scales", counting)
+    monkeypatch.setattr(preplay.cli, "_scales", counting)
+    game = prime_denominator_game()
+    names = game.space.strategies
+    moved = apply_offer_set(
+        game, OfferSet(game.space, (Offer("1", "2", names[1][0], Fraction(1, 7)),))
+    )
+    source = parse_game(serialize_game(game))
+    target = parse_game(serialize_game(moved))
+    assert calls == [_MAX_SCALE_BITS, _MAX_SCALE_BITS]
+    report(source)
+    report(target)
+    assert check_equivalence(source, target).equivalent
+    synthesize_offers(source, target)
+    assert calls == [_MAX_SCALE_BITS, _MAX_SCALE_BITS]
