@@ -9,23 +9,32 @@ star of payoffs, and analyzes the results (pure Nash equilibria, dominance,
 constant-sum and Pareto structure).
 """
 
-from . import analyze, characterize, complete, core, errors, offers, synth
-from .analyze import *
-from .characterize import *
-from .complete import *
-from .core import *
-from .errors import *
-from .offers import *
-from .synth import *
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-# each public name is listed once, in its submodule's __all__
-__all__ = []
-__all__ += analyze.__all__
-__all__ += characterize.__all__
-__all__ += complete.__all__
-__all__ += core.__all__
-__all__ += errors.__all__
-__all__ += offers.__all__
-__all__ += synth.__all__
+# a command starts a fresh interpreter, often with no bytecode cache, so each
+# submodule is bound lazily: its body runs when an attribute is first read
+for _name in ("analyze", "characterize", "complete", "core", "errors", "offers", "synth"):
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    globals()[_name] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(globals()[_name])
+del _name, _spec, importlib, sys
+
+
+def __getattr__(name):
+    # each public name is listed once, in its submodule's __all__; the first
+    # read of one, or of __all__, binds them all here as star imports would
+    if "__all__" not in globals():
+        modules = (analyze, characterize, complete, core, errors, offers, synth)
+        globals().update((public, getattr(m, public)) for m in modules for public in m.__all__)
+        globals()["__all__"] = [public for m in modules for public in m.__all__]
+    if name in globals():
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*__getattr__("__all__"), *globals()})

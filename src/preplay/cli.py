@@ -41,19 +41,10 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .analyze import pure_nash, report
-from .characterize import check_equivalence
-from .complete import Seed, complete_from_seed
+# the other layers load lazily, when a command first calls into one of them
+from . import analyze, characterize, complete, offers, synth
 from .core import Game, Profile, StrategySpace, _scales, as_rational, make_game
-from .errors import (
-    NonpositiveMargin,
-    NotEquivalent,
-    ParseError,
-    PreplayError,
-    SeedSumViolation,
-)
-from .offers import Offer, OfferSet, apply_offer_set, invert_offer_set
-from .synth import make_profile_dominant, nonnegative_decomposition, synthesize_offers
+from .errors import NonpositiveMargin, NotEquivalent, ParseError, PreplayError, SeedSumViolation
 
 SCHEMA_VERSION = 1
 
@@ -314,14 +305,14 @@ def parse_offers(
     *,
     source: str = "<offers>",
     strict: bool = False,
-) -> OfferSet:
+) -> offers.OfferSet:
     """Parse an offer document against a game's players and strategies.
 
     With ``strict`` set, negative amounts are rejected (offers as raw
     promises of payment); by default they are admitted as reverse transfers.
     """
     entries = _expect_list(_open_document(data, source).get("offers"), source, "offers")
-    offers = []
+    parsed = []
     for i, entry in enumerate(entries):
         location = f"offers[{i}]"
         entry = _expect_object(entry, source, location)
@@ -337,23 +328,23 @@ def parse_offers(
                 source, f"{location}.amount", f"negative amount {amount} (strict mode)"
             )
         try:
-            offer = Offer(payer, payee, strategy, amount)
+            offer = offers.Offer(payer, payee, strategy, amount)
             space._offer_key(payer, payee, strategy)
         except PreplayError as exc:
             raise ParseError(source, location, str(exc)) from None
-        offers.append(offer)
-    return OfferSet(space, tuple(offers))
+        parsed.append(offer)
+    return offers.OfferSet(space, tuple(parsed))
 
 
-def serialize_offers(offer_set: OfferSet) -> str:
+def serialize_offers(offer_set: offers.OfferSet) -> str:
     """An offer document, written as ``serialize_game`` writes a game."""
     name = encode_basestring_ascii
-    offers = [
+    items = [
         f'{{\n      "payer": {name(o.payer)},\n      "payee": {name(o.payee)},\n'
         f'      "strategy": {name(o.payee_strategy)},\n      "amount": "{o.amount}"\n    }}'
         for o in offer_set
     ]
-    return f'{{\n  "schema": {SCHEMA_VERSION},\n  "offers": {_array(offers, 2)}\n}}\n'
+    return f'{{\n  "schema": {SCHEMA_VERSION},\n  "offers": {_array(items, 2)}\n}}\n'
 
 
 def parse_seed_assignments(
@@ -407,7 +398,7 @@ def _report(game: Game) -> dict:
     order both formats write it: profiles in index order, and each player's
     dominance pairs by dominating strategy, dominated strategy, then kind
     ("strict" before "weak")."""
-    analysis = report(game)
+    analysis = analyze.report(game)
     dominance = {}
     for k, player in enumerate(game.players):
         index = {name: i for i, name in enumerate(game.strategies[k])}
@@ -460,7 +451,7 @@ def _read_game(path: str) -> Game:
     return parse_game(_read_text(path), source=path)
 
 
-def _read_offers(path: str, space: StrategySpace, strict: bool) -> OfferSet:
+def _read_offers(path: str, space: StrategySpace, strict: bool) -> offers.OfferSet:
     return parse_offers(_read_text(path), space, source=path, strict=strict)
 
 
@@ -481,15 +472,15 @@ def _emit(args, text: str) -> None:
 
 def _cmd_apply(args) -> int:
     game = _read_game(args.game)
-    offers = _read_offers(args.offers, game.space, args.strict)
-    _emit(args, serialize_game(apply_offer_set(game, offers)))
+    offer_set = _read_offers(args.offers, game.space, args.strict)
+    _emit(args, serialize_game(offers.apply_offer_set(game, offer_set)))
     return 0
 
 
 def _cmd_check(args) -> int:
     source = _read_game(args.game)
     target = _read_game(args.target)
-    verdict = check_equivalence(source, target)
+    verdict = characterize.check_equivalence(source, target)
     print(verdict.describe())
     return 0 if verdict.equivalent else 1
 
@@ -497,10 +488,10 @@ def _cmd_check(args) -> int:
 def _cmd_synth(args) -> int:
     source = _read_game(args.game)
     target = _read_game(args.target)
-    offers = synthesize_offers(source, target).offers
+    offer_set = synth.synthesize_offers(source, target).offers
     if args.nonnegative:
-        offers = nonnegative_decomposition(offers)
-    _emit(args, serialize_offers(offers))
+        offer_set = synth.nonnegative_decomposition(offer_set)
+    _emit(args, serialize_offers(offer_set))
     return 0
 
 
@@ -511,15 +502,15 @@ def _cmd_complete(args) -> int:
         base = _profile_option(game, args.base, "--base")
     else:
         base = (0,) * game.shape.player_count
-    completed = complete_from_seed(game, Seed(base, assignments))
+    completed = complete.complete_from_seed(game, complete.Seed(base, assignments))
     _emit(args, serialize_game(completed))
     return 0
 
 
 def _cmd_invert(args) -> int:
     game = _read_game(args.game)
-    offers = _read_offers(args.offers, game.space, args.strict)
-    _emit(args, serialize_offers(invert_offer_set(offers)))
+    offer_set = _read_offers(args.offers, game.space, args.strict)
+    _emit(args, serialize_offers(offers.invert_offer_set(offer_set)))
     return 0
 
 
@@ -530,7 +521,7 @@ def _cmd_dominate(args) -> int:
         margin = as_rational(args.margin)
     except ValueError:
         raise ParseError("command line", "--margin", f"not a rational: {args.margin!r}") from None
-    _emit(args, serialize_offers(make_profile_dominant(game, profile, margin)))
+    _emit(args, serialize_offers(synth.make_profile_dominant(game, profile, margin)))
     return 0
 
 
@@ -553,17 +544,17 @@ def _cmd_demo(args) -> int:
     space = game.space
     steps = [
         ("M0 (the Prisoner's Dilemma)", None),
-        ("M1 = M0 after the offer", Offer("I", "II", "C", Fraction(2))),
-        ("M2 = M1 after the offer", Offer("II", "I", "C", Fraction(2))),
+        ("M1 = M0 after the offer", offers.Offer("I", "II", "C", Fraction(2))),
+        ("M2 = M1 after the offer", offers.Offer("II", "I", "C", Fraction(2))),
     ]
     out = ["Prisoner's Dilemma, transformed by two preplay offers", ""]
     for title, offer in steps:
         if offer is not None:
             out.append(f"offer: {offer.describe()}")
-            game = apply_offer_set(game, OfferSet(space, (offer,)))
+            game = offers.apply_offer_set(game, offers.OfferSet(space, (offer,)))
         out.append(f"{title}:")
         out.append(format_matrix(game))
-        out.append(f"pure Nash equilibria: {_profiles_text(_named(game, pure_nash(game)))}")
+        out.append(f"pure Nash equilibria: {_profiles_text(_named(game, analyze.pure_nash(game)))}")
         out.append("")
     sys.stdout.write("\n".join(out))
     return 0

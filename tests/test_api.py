@@ -13,6 +13,7 @@ def test_every_public_name_resolves():
     assert len(set(preplay.__all__)) == len(preplay.__all__)
     missing = [name for name in preplay.__all__ if not hasattr(preplay, name)]
     assert missing == []
+    assert set(preplay.__all__) <= set(dir(preplay))
 
 
 def test_star_import_binds_exactly_the_public_names():

@@ -4,15 +4,19 @@ break a traced benchmark run."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import preplay.cli  # noqa: F401  (instrument wraps every loaded preplay module)
+import preplay.cli  # instrument wraps every loaded preplay module
 from preplay import Offer, OfferSet, core, offers
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+CLI_CHILD = SPANS.parent / "cli_child.py"
 
 
 @pytest.fixture
@@ -57,3 +61,20 @@ def test_instrument_records_a_span_and_restores_every_layer(spans, m0):
     after = layer_attributes(spans)
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_traced_cli_child_records_the_layers_it_calls(tmp_path, m0):
+    # the child imports only preplay.cli, so instrument finds the other layers
+    # through the lazily loaded modules the package puts in sys.modules
+    game = tmp_path / "m0.json"
+    game.write_text(preplay.cli.serialize_game(m0))
+    spans_path = tmp_path / "spans.jsonl"
+    package_root = str(Path(preplay.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, BENCH_SPANS=str(spans_path), PYTHONPATH=package_root)
+    result = subprocess.run(
+        [sys.executable, str(CLI_CHILD), "analyze", str(game)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    names = {json.loads(line)["name"] for line in spans_path.read_text().splitlines()}
+    assert {"cli.parse_game", "analyze.pure_nash", "analyze.pareto_optimal"} <= names

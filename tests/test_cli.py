@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import pickle
 import random
 import re
 import shutil
@@ -887,6 +888,67 @@ def test_python_dash_m_entry_point(tmp_path):
     result = run_child([sys.executable, "-m", "preplay", "demo", "pd"], tmp_path)
     assert result.returncode == 0
     assert "pure Nash equilibria: (C,C)" in result.stdout
+
+
+# The package loads its submodules lazily (a module whose body has not run is
+# a lazy subclass of ModuleType in sys.modules), so a command runs only the
+# submodules it calls, besides core and errors, which the CLI imports eagerly.
+RAN_MODULES_CHILD = """
+import sys, types
+try:
+    from preplay.cli import main; main()
+finally:
+    ran = [n for n, m in sys.modules.items() if type(m) is types.ModuleType]
+    print(*sorted(n[len("preplay."):] for n in ran if n.startswith("preplay.")), file=sys.stderr)
+"""
+
+SUBCOMMAND_MODULES = [
+    (["apply", "game.json", "offers.json"], 0, {"offers"}),
+    (["check", "game.json", "target.json"], 0, {"characterize"}),
+    (["synth", "game.json", "target.json"], 0, {"synth", "characterize", "offers"}),
+    (["complete", "game.json", "seed.json"], 0, {"complete"}),
+    (["invert", "game.json", "offers.json"], 0, {"offers"}),
+    (["dominate", "game.json", "--profile", "C,C"], 0, {"synth", "characterize", "offers"}),
+    (["analyze", "game.json"], 0, {"analyze"}),
+    (["demo", "pd"], 0, {"offers", "analyze"}),
+    # rejected at parse, so the check never runs
+    (["check", "hostile.json", "target.json"], 2, set()),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, modules", SUBCOMMAND_MODULES, ids=[" ".join(case[0]) for case in SUBCOMMAND_MODULES]
+)
+def test_a_command_runs_only_the_modules_it_calls(tmp_path, argv, code, modules):
+    docs = {"game": M0_DOC, "target": M2_DOC, "offers": OFFER_DOC, "seed": SEED_DOC}
+    docs["hostile"] = padded_game_doc(_MAX_PLAYERS + 1)
+    for name, text in docs.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    result = run_child([sys.executable, "-c", RAN_MODULES_CHILD, *argv], tmp_path)
+    assert result.returncode == code, result.stderr
+    ran = set(result.stderr.splitlines()[-1].split())
+    assert ran == {"cli", "core", "errors", *modules}
+
+
+def test_pickles_load_in_a_child_that_imported_only_the_cli(tmp_path, m0):
+    # a pickle names preplay.core.Game and preplay.offers.OfferSet; in a child
+    # that imported only preplay.cli, offers is still lazy when it unpickles
+    offer_set = preplay.OfferSet(m0.space, (preplay.Offer("I", "II", "C", 2),))
+    (tmp_path / "m0.pickle").write_bytes(pickle.dumps((m0, offer_set)))
+    (tmp_path / "m0.json").write_text(M0_DOC)
+    (tmp_path / "offers.json").write_text(OFFER_DOC)
+    child = """
+import pickle
+import preplay.cli as cli
+with open("m0.pickle", "rb") as f:
+    loaded = pickle.load(f)
+with open("m0.json") as f:
+    game = cli.parse_game(f.read())
+with open("offers.json") as f:
+    print(loaded == (game, cli.parse_offers(f.read(), game.space)))
+"""
+    result = run_child([sys.executable, "-c", child], tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "True\n", "")
 
 
 CYRILLIC_DOC = M0_DOC.replace('"I", "II"', '"\u0416", "II"')
