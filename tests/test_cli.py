@@ -951,6 +951,51 @@ with open("offers.json") as f:
     assert (result.returncode, result.stdout, result.stderr) == (0, "True\n", "")
 
 
+# In a fresh interpreter no submodule has run yet.  Threads released at once
+# by a barrier run each statement together, so each first read races; none
+# may see a submodule half run.
+THREADED_FIRST_READS_CHILD = """
+import sys, threading
+import preplay
+
+THREADS = 8
+barrier = threading.Barrier(THREADS)
+failures = []
+sys.setswitchinterval(1e-6)
+
+def run_each():
+    for statement in sys.argv[1:]:
+        barrier.wait()
+        try:
+            exec(statement)
+        except Exception as exc:
+            failures.append(repr(exc))
+
+threads = [threading.Thread(target=run_each, daemon=True) for _ in range(THREADS)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=30)
+print(failures + ["hung"] * sum(thread.is_alive() for thread in threads))
+"""
+
+LAZY_SUBMODULES = ["errors", "core", "offers", "characterize", "complete", "synth", "analyze"]
+
+
+@pytest.mark.parametrize(
+    "statements",
+    [
+        [f"preplay.{name}.__all__" for name in LAZY_SUBMODULES],
+        ["from preplay import Game, report, synthesize_offers"],
+        ["import preplay.cli as cli; cli.main", "preplay.analyze.report"],
+    ],
+    ids=["module attributes", "package names", "cli import"],
+)
+def test_first_reads_from_several_threads_see_whole_modules(tmp_path, statements):
+    result = run_child([sys.executable, "-c", THREADED_FIRST_READS_CHILD, *statements], tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
 CYRILLIC_DOC = M0_DOC.replace('"I", "II"', '"\u0416", "II"')
 
 
