@@ -24,11 +24,12 @@ document is
                               "strategy": "C", "amount": "2"}]}
 
 Exit codes: 0 success, 1 domain failure (target unreachable, seed sum
-violation, nonpositive margin), 2 malformed input or a result too long to
-print: a number, in an output or a message, whose numerator or denominator
-has more digits than ``sys.get_int_max_str_digits()`` allows (4,300 by
-default).  That limit stays as it is, since it keeps int-to-str conversion
-of hostile numbers from taking quadratic time.
+violation, nonpositive margin), 2 malformed input, a closed standard output
+where a result goes there, or a result too long to print: a number, in an
+output or a message, whose numerator or denominator has more digits than
+``sys.get_int_max_str_digits()`` allows (4,300 by default).  That limit
+stays as it is, since it keeps int-to-str conversion of hostile numbers from
+taking quadratic time.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import product
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -371,8 +373,9 @@ def format_matrix(game: Game) -> str:
     for other player counts."""
     cells = [",".join(map(str, cell)) for cell in game.payoffs]
     if game.shape.player_count != 2:
-        names = map(game.space.name_profile, game.shape.profiles())
-        return "\n".join(f"{name}: {cell}" for name, cell in zip(names, cells))
+        # the profiles' names in row-major order
+        names = product(*game.strategies)
+        return "\n".join(f"({','.join(name)}): {cell}" for name, cell in zip(names, cells))
     rows, cols = game.strategies
     # the header is one more row of the table, under an empty row name
     m = len(cols)
@@ -384,8 +387,9 @@ def format_matrix(game: Game) -> str:
 
 
 def _named(game: Game, profiles) -> list[list[str]]:
-    """Profiles in index order, each as its strategy names."""
-    return [list(game.space.profile_names(p)) for p in sorted(profiles)]
+    """Profiles the package computed for ``game``, in index order, each as
+    its strategy names."""
+    return [[row[i] for row, i in zip(game.strategies, p)] for p in sorted(profiles)]
 
 
 def _profiles_text(profiles: list[list[str]]) -> str:
@@ -411,9 +415,7 @@ def _report(game: Game) -> dict:
         "dominance": dominance,
         "constant_sum": str(analysis.constant_sum) if analysis.constant_sum is not None else None,
         "pareto_optimal": _named(game, analysis.pareto_optimal),
-        "strictly_dominant_profile": (
-            list(game.space.profile_names(dominant)) if dominant is not None else None
-        ),
+        "strictly_dominant_profile": _named(game, [dominant])[0] if dominant is not None else None,
     }
 
 
@@ -464,8 +466,11 @@ def _profile_option(game: Game, text: str, option: str) -> Profile:
 
 
 def _emit(args, text: str) -> None:
+    """Write a command's result to ``-o``'s file, or else to stdout."""
     if getattr(args, "output", None):
         Path(args.output).write_text(text, encoding="utf-8")
+    elif sys.stdout is None:
+        raise OSError("standard output is closed")
     else:
         sys.stdout.write(text)
 
@@ -481,7 +486,7 @@ def _cmd_check(args) -> int:
     source = _read_game(args.game)
     target = _read_game(args.target)
     verdict = characterize.check_equivalence(source, target)
-    print(verdict.describe())
+    _emit(args, verdict.describe() + "\n")
     return 0 if verdict.equivalent else 1
 
 
@@ -556,7 +561,7 @@ def _cmd_demo(args) -> int:
         out.append(format_matrix(game))
         out.append(f"pure Nash equilibria: {_profiles_text(_named(game, analyze.pure_nash(game)))}")
         out.append("")
-    sys.stdout.write("\n".join(out))
+    _emit(args, "\n".join(out))
     return 0
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
+from operator import mul
 from typing import Mapping, Sequence
 
 from .core import (
@@ -95,14 +96,16 @@ def complete_from_seed(source: Game, seed: Seed) -> Game:
                 f"seed at {format_profile(p)}: payoff vector of length {len(vector)} "
                 f"in a {n}-player game"
             )
+        # the star is built from the validated base, so its profiles index directly
+        current = source.payoffs[sum(map(mul, p, shape.strides))]
         total = sum(vector, Fraction(0))
-        required = payoff_sum(source, p)
+        required = sum(current, Fraction(0))
         if total != required:
             raise SeedSumViolation(
                 f"seed at {space.name_profile(p)} has payoff total {total}; "
                 f"offers preserve the source total {required}"
             )
-        diff[p] = tuple(t - s for t, s in zip(vector, source.payoff(p)))
+        diff[p] = tuple(t - s for t, s in zip(vector, current))
 
     # the same sum regrouped: c(p) = (1 - n) c(b) + sum_k c(b with axis k set to p_k)
     origin = tuple((1 - n) * x for x in diff[base])

@@ -26,6 +26,13 @@ its two slots, ``_numerator`` and ``_denominator``, and ``_scales``,
 directly instead of the ``numerator`` and ``denominator`` properties.  No
 other module touches them.
 
+A game's payoffs are checked once, where the game enters: the public
+constructor coerces and checks every value, while the document parser,
+``make_game`` and ``_add_separable``, which have already checked or exactly
+built their cells, hand ``Game`` its space and it takes their cells as
+given.  Profiles the package generates itself (from ``GameShape.profiles``,
+a star, or an analysis kernel) are read without validating them again.
+
 Profiles are tuples of 0-based strategy indices, one per player, in player
 order.  User-facing messages render indices 1-based.
 """
@@ -37,7 +44,8 @@ import re
 from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -203,10 +211,7 @@ class GameShape:
     @cached_property
     def size(self) -> int:
         """Number of strategy profiles."""
-        n = 1
-        for count in self.strategy_counts:
-            n *= count
-        return n
+        return math.prod(self.strategy_counts)
 
     @cached_property
     def strides(self) -> tuple[int, ...]:
@@ -341,14 +346,22 @@ class Game:
     (see ``GameShape.profiles``).  ``space`` is the ``StrategySpace`` that
     construction validated, kept on the instance.  Instances are immutable;
     transformations return new games over the same space.
+
+    Built from outside the package, construction validates the frame,
+    coerces every payoff with ``as_rational`` and checks the cell count and
+    each vector's length.  The package's own builders hand over the frame's
+    space (``_space``) with cells they have already checked or built
+    exactly, and those are taken as given.
     """
 
     players: tuple[str, ...]
     strategies: tuple[tuple[str, ...], ...]
     payoffs: tuple[PayoffVector, ...]
     _: KW_ONLY
-    # a StrategySpace a caller inside the package has already validated; it
-    # is used only if it names exactly the players and strategies given
+    # a StrategySpace a caller inside the package has already validated,
+    # handed over with payoffs already checked against it: a tuple, one tuple
+    # of exact Fractions per profile.  Both are taken as given only if the
+    # space names exactly the players and strategies given
     _space: InitVar[Optional[StrategySpace]] = None
     # the payoffs' scales (``_scales(payoffs)``) a caller inside the package
     # has already computed; ``_scaled`` takes them over instead of computing
@@ -359,29 +372,22 @@ class Game:
         space = _space
         if space is None or (space.players, space.strategies) != (self.players, self.strategies):
             space = StrategySpace(tuple(self.players), tuple(tuple(r) for r in self.strategies))
+            cells = tuple(tuple(as_rational(v) for v in cell) for cell in self.payoffs)
+            object.__setattr__(self, "payoffs", cells)
+            size = space.shape.size
+            if len(cells) < size:
+                raise MissingOutcome(f"{size} profiles but only {len(cells)} payoff vectors")
+            if len(cells) > size:
+                raise DuplicateOutcome(f"{size} profiles but {len(cells)} payoff vectors")
+            n = len(space.players)
+            for cell in cells:
+                if len(cell) != n:
+                    raise ArityMismatch(
+                        f"payoff vector of length {len(cell)} in a {n}-player game"
+                    )
         object.__setattr__(self, "players", space.players)
         object.__setattr__(self, "strategies", space.strategies)
         object.__setattr__(self, "space", space)
-        size = space.shape.size
-        cells = self.payoffs
-        # cells that are already tuples of exact Fractions are kept as given
-        if not (
-            type(cells) is tuple
-            and set(map(type, cells)) == {tuple}
-            and set(map(type, chain.from_iterable(cells))) == {Fraction}
-        ):
-            cells = tuple(tuple(as_rational(v) for v in cell) for cell in cells)
-            object.__setattr__(self, "payoffs", cells)
-        if len(cells) < size:
-            raise MissingOutcome(f"{size} profiles but only {len(cells)} payoff vectors")
-        if len(cells) > size:
-            raise DuplicateOutcome(f"{size} profiles but {len(cells)} payoff vectors")
-        n = len(space.players)
-        for cell in cells:
-            if len(cell) != n:
-                raise ArityMismatch(
-                    f"payoff vector of length {len(cell)} in a {n}-player game"
-                )
         if _known_scales is not None:
             object.__setattr__(self, "_known_scales", _known_scales)
 
@@ -507,7 +513,8 @@ def make_game(
     cells: dict[int, PayoffVector] = {}
     for names, values in items:
         profile = space.profile_from_names(tuple(names))
-        flat = shape.flat_index(profile)
+        # indices read off the names are in range, so none is validated again
+        flat = sum(map(mul, profile, shape.strides))
         if flat in cells:
             raise DuplicateOutcome(f"profile {space.name_profile(profile)} assigned twice")
         values = tuple(as_rational(v) for v in values)

@@ -390,6 +390,53 @@ def test_demo_computes_no_pareto_set(monkeypatch, capsys):
     assert "pure Nash equilibria: (C,C)" in capsys.readouterr().out
 
 
+# M0 with its (D,D) cell left open: a seed on the star of (C,C)
+SEED_DOC = M0_DOC.replace('["1", "1"]', "null")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "m0.json", "o.json"],
+        ["check", "m0.json", "m2.json"],
+        ["synth", "m0.json", "m2.json"],
+        ["complete", "m0.json", "seed.json"],
+        ["invert", "m0.json", "o.json"],
+        ["dominate", "m0.json", "--profile", "C,C"],
+        ["analyze", "m0.json"],
+        ["demo", "pd"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_exits_2_with_one_line(files, capsys, monkeypatch, argv):
+    docs = {"m0.json": M0_DOC, "m2.json": M2_DOC, "o.json": OFFER_DOC, "seed.json": SEED_DOC}
+    paths = {name: files(name, text) for name, text in docs.items()}
+    # as under `python -m preplay ... >&-`, where the interpreter sets no stdout
+    monkeypatch.setattr(sys, "stdout", None)
+    assert run([paths.get(arg, arg) for arg in argv]) == 2
+    assert capsys.readouterr().err == "error: standard output is closed\n"
+
+
+def test_closed_stdout_does_not_stop_an_output_file(files, capsys, monkeypatch, tmp_path, m1):
+    out = tmp_path / "result.json"
+    monkeypatch.setattr(sys, "stdout", None)
+    argv = ["apply", files("m0.json", M0_DOC), files("o.json", OFFER_DOC), "-o", str(out)]
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert parse_game(out.read_text()) == m1
+
+
+def test_a_value_error_other_than_the_digit_limit_propagates(monkeypatch):
+    # only the int-to-str digit limit is bad input; any other ValueError is
+    # a fault of the program and keeps its traceback
+    def boom(args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(preplay.cli, "_cmd_demo", boom)
+    with pytest.raises(ValueError, match="^boom$"):
+        run(["demo", "pd"])
+
+
 def test_missing_file_exits_2(capsys):
     assert run(["analyze", "does-not-exist.json"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,0 +1,126 @@
+"""The package's own builders hand ``Game`` cells they have already checked or
+exactly built, and ``Game`` takes them as given.  Each builder's game is
+checked here against the public constructor's, which coerces and checks
+every value, on the seeded corpus and on the game shapes of the benchmark's
+``reach`` and ``transform`` workloads."""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from preplay import (
+    Game,
+    Offer,
+    Seed,
+    apply_offer,
+    apply_offer_set,
+    complete_from_seed,
+    core,
+    make_game,
+)
+from preplay.cli import parse_game, serialize_game
+from conftest import random_offer_set
+
+# the shapes the reach and transform workloads build
+SHAPES = [(10, 10), (20, 20), (40, 40), (3, 3, 3, 3), (5, 5, 5, 5), (6, 6, 6), (12, 12, 12)]
+
+
+def shape_game(rng, counts):
+    """A game of the given shape on raw cells: ints, ratio strings and
+    ``Fraction``s, as a library caller may pass them."""
+    players = tuple(f"P{k + 1}" for k in range(len(counts)))
+    strategies = tuple(tuple(f"s{j + 1}" for j in range(count)) for count in counts)
+    kinds = (
+        lambda: rng.randint(-20, 20),
+        lambda: f"{rng.randint(-20, 20)}/{rng.randint(1, 6)}",
+        lambda: Fraction(rng.randint(-20, 20), rng.randint(1, 6)),
+    )
+    cells = tuple(tuple(rng.choice(kinds)() for _ in counts) for _ in range(math.prod(counts)))
+    return Game(players, strategies, cells)
+
+
+def built_games(game, offer_set):
+    """One game from each builder that hands ``Game`` its space."""
+    space = game.space
+    offer = next(iter(offer_set), None) or Offer(
+        space.players[0], space.players[1], space.strategies[1][0], Fraction(3, 2)
+    )
+    target = apply_offer_set(game, offer_set)
+    base = tuple(count - 1 for count in game.shape.strategy_counts)
+    star = {p: target.payoff(p) for p in game.shape.star(base)}
+    # make_game reads raw values: ints where the payoff is whole, else strings
+    entries = {
+        space.profile_names(p): tuple(v.numerator if v.denominator == 1 else str(v) for v in cell)
+        for p, cell in zip(game.shape.profiles(), game.payoffs)
+    }
+    return {
+        "parse_game": parse_game(serialize_game(game)),
+        "make_game": make_game(space.players, space.strategies, entries),
+        "apply_offer": apply_offer(game, offer),
+        "apply_offer_set": target,
+        "complete_from_seed": complete_from_seed(game, Seed(base, star)),
+    }
+
+
+@pytest.fixture(scope="module")
+def cases(corpus):
+    """(game, offer set) pairs: part of the corpus, then one per shape."""
+    rng = random.Random(2012)
+    pairs = list(corpus[:60])
+    for counts in SHAPES:
+        game = shape_game(rng, counts)
+        pairs.append((game, random_offer_set(rng, game.space, max_offers=12)))
+    return pairs
+
+
+def test_built_games_match_the_public_constructor(cases):
+    for game, offer_set in cases:
+        built = built_games(game, offer_set)
+        for name, g in built.items():
+            assert g == Game(g.players, g.strategies, g.payoffs), name
+            assert type(g.payoffs) is tuple, name
+            assert len(g.payoffs) == g.shape.size, name
+            for cell in g.payoffs:
+                assert type(cell) is tuple and len(cell) == len(g.players), name
+                assert {type(v) for v in cell} == {Fraction}, name
+        # the builders agree where they compute the same game
+        assert built["parse_game"] == built["make_game"] == game
+        assert built["complete_from_seed"] == built["apply_offer_set"]
+
+
+@pytest.fixture
+def coercions_in_game(monkeypatch):
+    """Calls of ``core.as_rational`` made while a ``Game`` is constructed."""
+    calls = []
+    inside = []
+    post_init = Game.__post_init__
+    as_rational = core.as_rational
+
+    def tracked(self, *args):
+        inside.append(self)
+        try:
+            post_init(self, *args)
+        finally:
+            inside.pop()
+
+    def counting(value):
+        if inside:
+            calls.append(value)
+        return as_rational(value)
+
+    monkeypatch.setattr(Game, "__post_init__", tracked)
+    monkeypatch.setattr(core, "as_rational", counting)
+    return calls
+
+
+def test_builders_coerce_no_payoff_again(cases, coercions_in_game):
+    for game, offer_set in cases[::6]:
+        built = built_games(game, offer_set)
+        assert coercions_in_game == []
+        # the public constructor coerces each value once
+        public = built["apply_offer_set"]
+        Game(public.players, public.strategies, public.payoffs)
+        assert len(coercions_in_game) == public.shape.size * len(public.players)
+        coercions_in_game.clear()
