@@ -21,9 +21,10 @@ the two games' scales for k, so each difference and each C2 step is one int
 subtraction.  C1 adds a profile's ints across players where every player
 has one scale; where the scales differ, it compares the two games' profile
 totals, each summed exactly over the profile's own denominators by
-``core._total``.  Synthesis reads the same view and turns only the coordinate
-star of (0,…,0) back into ``Fraction``s.  ``diff_tensor`` stays the public
-``Fraction`` tensor; neither kernel builds it.
+``core._total``.  C2 compares every block against the coordinate star of
+(0,…,0), and the private ``_check`` returns that star with its verdict, so
+synthesis reads the amounts off the star the check verified.
+``diff_tensor`` stays the public ``Fraction`` tensor; neither builds it.
 
 A failed check carries a ``Violation`` that names the exact profiles whose
 payoff differences falsify the condition, so callers can re-evaluate the
@@ -39,9 +40,7 @@ from itertools import compress, count, repeat
 from operator import mul, ne, sub
 from typing import Optional, Sequence
 
-from .core import (
-    Game, GameShape, PayoffVector, Profile, StrategySpace, _fraction, _total, format_profile
-)
+from .core import Game, GameShape, PayoffVector, Profile, StrategySpace, _total, format_profile
 from .errors import NameMismatch, ShapeMismatch
 
 __all__ = [
@@ -134,17 +133,36 @@ def diff_tensor(source: Game, target: Game) -> DiffTensor:
     return DiffTensor(space, values)
 
 
-def _diff_view(source: Game, target: Game) -> tuple[tuple[int, ...], list[list[int]]]:
-    """``target - source`` on the games' integer views (``Game._scaled``):
-    ``(scales, columns)`` with ``columns[k][f] == (target - source)[f][k] *
-    scales[k]``.
+def check_equivalence(source: Game, target: Game) -> EquivalenceVerdict:
+    """Decide whether some offer set transforms ``source`` into ``target``.
 
-    Player k's scale is the lcm of the two games' scales for k, so each entry
-    is one int subtraction, and every int stays as short as player k's own
-    denominators allow.  Both games must share players, strategy names, and
-    shape.
+    C1 is checked over all profiles first, then C2; the verdict reports the
+    first violation in that order (row-major within each condition), so the
+    outcome is deterministic.  Both conditions are decided on the games'
+    integer views (``_check``), not on ``diff_tensor``'s ``Fraction``s.
     """
-    _require_same_frame(source, target)
+    return _check(source, target)[0]
+
+
+def _check(
+    source: Game, target: Game
+) -> tuple[EquivalenceVerdict, tuple[int, ...], list[list[list[int]]]]:
+    """``(verdict, scales, star)``: ``check_equivalence``'s verdict, with the
+    integer difference view's scales and the coordinate star that C2 checks
+    every block against.
+
+    ``target - source`` is read on the games' integer views
+    (``Game._scaled``): player j's differences are ints over ``scales[j]``,
+    the lcm of the two games' scales for j, so each is one int subtraction
+    and stays as short as player j's own denominators allow.  ``star[j][k][v]``
+    is player j's difference at the all-first profile (0,…,0) with axis k set
+    to v, times ``scales[j]``; it sits at flat index ``v * stride_k``.  A
+    reachable tensor is determined by these values.  Both games must share
+    players, strategy names, and shape.
+    """
+    space = _require_same_frame(source, target)
+    shape = space.shape
+    counts, strides, size = shape.strategy_counts, shape.strides, shape.size
     s_scales, s_columns = source._scaled
     t_scales, t_columns = target._scaled
     scales, columns = [], []
@@ -156,42 +174,12 @@ def _diff_view(source: Game, target: Game) -> tuple[tuple[int, ...], list[list[i
             t_col = map(mul, t_col, repeat(scale // t_scale))
         scales.append(scale)
         columns.append(list(map(sub, t_col, s_col)))
-    return tuple(scales), columns
-
-
-def _star_readout(
-    shape: GameShape, scales: Sequence[int], columns: Sequence[Sequence[int]]
-) -> list[list[list[Fraction]]]:
-    """``star[j][k][v]``: player j's difference at the all-first profile
-    (0,…,0) with axis k set to v, read off ``_diff_view``'s columns.
-
-    That profile's coordinate star along axis k sits at flat index
-    ``v * stride_k``.  A reachable tensor is determined by these values.
-    """
-    axes = list(zip(shape.strides, shape.strategy_counts))
-    return [
-        [[_fraction(column[v * stride], scale) for v in range(length)] for stride, length in axes]
-        for scale, column in zip(scales, columns)
+    scales = tuple(scales)
+    star = [
+        [column[: stride * length : stride] for stride, length in zip(strides, counts)]
+        for column in columns
     ]
 
-
-def check_equivalence(source: Game, target: Game) -> EquivalenceVerdict:
-    """Decide whether some offer set transforms ``source`` into ``target``.
-
-    C1 is checked over all profiles first, then C2; the verdict reports the
-    first violation in that order (row-major within each condition), so the
-    outcome is deterministic.  Both conditions are decided on the games'
-    integer views (``_diff_view``), not on ``diff_tensor``'s ``Fraction``s.
-    """
-    return _check_diff(source, target, *_diff_view(source, target))
-
-
-def _check_diff(
-    source: Game, target: Game, scales: Sequence[int], columns: Sequence[Sequence[int]]
-) -> EquivalenceVerdict:
-    """The verdict of ``check_equivalence`` on the difference view that
-    ``_diff_view(source, target)`` built."""
-    shape = source.shape
     if len(set(scales)) == 1:
         # one scale for every player: a profile's ints sum to zero exactly
         # when its differences do
@@ -208,9 +196,9 @@ def _check_diff(
         )
     flat = next(compress(count(), broken), None)
     if flat is not None:
-        return EquivalenceVerdict(False, Violation("C1", (shape._profile_at(flat),)))
+        violation = Violation("C1", (shape._profile_at(flat),))
+        return EquivalenceVerdict(False, violation), scales, star
 
-    counts, strides, size = shape.strategy_counts, shape.strides, shape.size
     n = len(counts)
     # Under C1 the last player's steps are minus the others' sum, so C2 holds
     # for them too.  And once player j's steps match the star's along axes
@@ -225,10 +213,10 @@ def _check_diff(
             if length == 1:
                 continue
             block = stride * length
-            star = column[:block:stride]
+            axis = star[j][k]
             # the star's step out of each position v, once per flat of a block
             # that can step: those with coordinate k below length - 1
-            ref = [b - a for a, b in zip(star, star[1:]) for _ in range(stride)]
+            ref = [b - a for a, b in zip(axis, axis[1:]) for _ in range(stride)]
             for start in range(0, size, block):
                 end = start + block
                 steps = map(sub, column[start + stride : end], column[start : end - stride])
@@ -238,13 +226,8 @@ def _check_diff(
                 # p and p' step axis k from v to v + 1; so do q and q', which are 0 off axis k
                 v = flat // stride % length
                 witness = (flat, flat + stride, v * stride, (v + 1) * stride)
-                return EquivalenceVerdict(
-                    False,
-                    Violation(
-                        "C2",
-                        tuple(map(shape._profile_at, witness)),
-                        player=source.space.players[j],
-                        axis=k,
-                    ),
+                violation = Violation(
+                    "C2", tuple(map(shape._profile_at, witness)), player=space.players[j], axis=k
                 )
-    return EquivalenceVerdict(True, None)
+                return EquivalenceVerdict(False, violation), scales, star
+    return EquivalenceVerdict(True, None), scales, star

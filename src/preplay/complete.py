@@ -10,7 +10,9 @@ the base b every profile p satisfies
 
 and the completion is read straight off the star as an outer sum over the
 axes, built in row-major order on Python int pairs by the same kernel that
-applies offers.
+applies offers.  Each seed vector's total is checked against the source's
+with ``core._total``, on int pairs; ``Fraction`` totals are built only for
+the error message.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .core import (
     Profile,
     RationalLike,
     _add_separable,
+    _total,
     as_rational,
     format_profile,
     payoff_sum,
@@ -67,9 +70,9 @@ def complete_from_seed(source: Game, seed: Seed) -> Game:
     space = source.space
     shape = space.shape
     n = shape.player_count
-    base = shape.validate_profile(seed.base_profile)
-
-    star = list(shape.star(base))
+    # the star validates the base and yields it first
+    star = list(shape.star(seed.base_profile))
+    base = star[0]
     star_set = set(star)
     provided = set(seed.assignments)
     missing = sorted(star_set - provided)
@@ -98,12 +101,11 @@ def complete_from_seed(source: Game, seed: Seed) -> Game:
             )
         # the star is built from the validated base, so its profiles index directly
         current = source.payoffs[sum(map(mul, p, shape.strides))]
-        total = sum(vector, Fraction(0))
-        required = sum(current, Fraction(0))
-        if total != required:
+        (num, den), (s_num, s_den) = _total(vector), _total(current)
+        if num * s_den != s_num * den:
             raise SeedSumViolation(
-                f"seed at {space.name_profile(p)} has payoff total {total}; "
-                f"offers preserve the source total {required}"
+                f"seed at {space.name_profile(p)} has payoff total {Fraction(num, den)}; "
+                f"offers preserve the source total {Fraction(s_num, s_den)}"
             )
         diff[p] = tuple(t - s for t, s in zip(vector, current))
 

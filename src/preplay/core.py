@@ -13,9 +13,10 @@ builds, so a parsed game's scales are computed once.  Every per-player
 comparison reads the integer view instead of the ``Fraction``s: the
 reachability check, synthesis, Pareto, and the Nash and dominance kernels,
 which read it cut into one tuple per player and strategy
-(``Game._slices``).  A profile's total across players whose scales
-differ is read by ``_total`` instead, one exact sum over the profile's own
-denominators.  Apply and completion write a game through one outer-sum
+(``Game._slices``).  ``_total`` is the one exact profile total, a sum over
+the profile's own denominators: C1 reads it where the players' scales
+differ, and so do ``constant_sum``, completion's seed check and
+``payoff_sum``.  Apply and completion write a game through one outer-sum
 kernel (``_add_separable``), which adds on Python int pairs, one player at a
 time, and never reads the view.
 
@@ -533,4 +534,4 @@ def make_game(
 
 def payoff_sum(game: Game, profile: Sequence[int]) -> Fraction:
     """Total payoff across all players at a profile."""
-    return sum(game.payoff(profile), Fraction(0))
+    return Fraction(*_total(game.payoff(profile)))

@@ -32,8 +32,8 @@ from fractions import Fraction
 from operator import sub
 from typing import Sequence
 
-from .characterize import _check_diff, _diff_view, _star_readout
-from .core import Game, RationalLike, as_rational
+from .characterize import _check
+from .core import Game, RationalLike, _fraction, as_rational
 from .errors import (
     ArityMismatch,
     IndexOutOfRange,
@@ -79,20 +79,18 @@ def synthesize_offers(source: Game, target: Game) -> SynthesisResult:
     first player then follow from each payer's own difference along axis 0.
     The amounts go straight into the net table e[payer, payee, strategy].
 
-    The check and the star readout share one difference view built from the
-    games' integer views (``Game._scaled``); only the star's values become
-    ``Fraction``s.
+    The check hands over the star it verified, on the integer difference
+    view built from the games' ``Game._scaled``: each amount is one int
+    subtraction of star entries, and only the amounts become ``Fraction``s.
     """
-    scales, columns = _diff_view(source, target)
-    verdict = _check_diff(source, target, scales, columns)
+    # star[j][k][v]: player j's difference at (0,…,0) with axis k set to v, times scales[j]
+    verdict, scales, star = _check(source, target)
     if not verdict.equivalent:
         raise NotEquivalent(verdict)
 
     space = source.space
     players, strategies = space.players, space.strategies
     n = len(players)
-    # star[j][k][v]: player j's difference at (0,…,0) with axis k set to v
-    star = _star_readout(space.shape, scales, columns)
 
     # e[payer, payee, t]: net amount offered on the payee's strategy t
     e: _Net = {}
@@ -101,14 +99,14 @@ def synthesize_offers(source: Game, target: Game) -> SynthesisResult:
             if p != q:
                 axis = star[p][q]
                 for t, c in enumerate(axis):
-                    e[p, q, t] = axis[-1] - c
+                    e[p, q, t] = _fraction(axis[-1] - c, scales[p])
     for p in range(1, n):
         # at (0,…,0) with axis 0 set to t, player p receives every
         # e[k, p, 0] and pays e[p, 0, t] plus every other e[p, k, 0]
         received = sum(e[k, p, 0] for k in range(n) if k != p)
         paid = sum(e[p, k, 0] for k in range(1, n) if k != p)
         for t, c in enumerate(star[p][0]):
-            e[p, 0, t] = received - paid - c
+            e[p, 0, t] = received - paid - _fraction(c, scales[p])
 
     pinned = tuple(
         (f"{players[p]}->{players[q]}/{strategies[q][-1]}", Fraction(0))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from preplay import (
     payoff_sum,
     synthesize_offers,
 )
-from preplay.characterize import _check_diff, _diff_view, _star_readout
+from preplay.characterize import _check
 from conftest import (
     CUBE_COMPLETED_S1,
     CUBE_COMPLETED_S2,
@@ -233,26 +234,33 @@ def witness(verdict):
 
 
 def fraction_synthesis(source, target):
-    """``synthesize_offers`` with its check and star readout taken from the
-    ``Fraction`` references instead of the integer view."""
+    """``synthesize_offers`` with the verdict and the star it reads taken from
+    the ``Fraction`` references instead of the integer view; the star goes
+    over as ints over each player's lcm of its denominators."""
     diff = diff_tensor(source, target)
+    star = fraction_star_readout(diff)
+    scales = tuple(math.lcm(*(v.denominator for axis in axes for v in axis)) for axes in star)
+    int_star = [
+        [[int(v * scale) for v in axis] for axis in axes] for axes, scale in zip(star, scales)
+    ]
+    reference = (fraction_check_diff(diff), scales, int_star)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(preplay.synth, "_check_diff", lambda *view: fraction_check_diff(diff))
-        patch.setattr(preplay.synth, "_star_readout", lambda *view: fraction_star_readout(diff))
+        patch.setattr(preplay.synth, "_check", lambda source, target: reference)
         return synthesize_offers(source, target)
 
 
 def assert_same_verdict(source, target):
-    """Compare whole verdicts with both ``Fraction`` scans, and synthesis and
-    the star readout with theirs; return the reference verdict."""
+    """Compare whole verdicts and the star with the ``Fraction`` scans, and
+    synthesis with its reference; return the reference verdict."""
     diff = diff_tensor(source, target)
     expected = fraction_check_diff(diff, every_player=True)
     assert witness(fraction_check_diff(diff)) == witness(expected)
     assert witness(check_equivalence(source, target)) == witness(expected)
-    assert witness(_check_diff(source, target, *_diff_view(source, target))) == witness(expected)
+    verdict, scales, star = _check(source, target)
+    assert witness(verdict) == witness(expected)
+    read = [[[Fraction(v, d) for v in axis] for axis in axes] for axes, d in zip(star, scales)]
+    assert read == fraction_star_readout(diff)
     if expected.equivalent:
-        star = _star_readout(source.shape, *_diff_view(source, target))
-        assert star == fraction_star_readout(diff)
         assert synthesize_offers(source, target) == fraction_synthesis(source, target)
     else:
         with pytest.raises(NotEquivalent) as raised:
@@ -377,7 +385,7 @@ def test_check_matches_reference_with_unequal_scales():
         )
         game = Game(game.players, game.strategies, cells)
         target = apply_offer_set(game, random_offer_set(rng, game.space))
-        scales, _ = _diff_view(game, target)
+        _, scales, _ = _check(game, target)
         if len(set(scales)) > 1:
             unequal += 1
         else:
@@ -394,7 +402,7 @@ def test_check_matches_reference_on_prime_denominators():
     c1_hits = [0, 0]
     for _ in range(4):
         target = apply_offer_set(game, random_offer_set(rng, game.space, max_offers=8))
-        scales, _ = _diff_view(game, target)
+        _, scales, _ = _check(game, target)
         assert len(set(scales)) == 3
         hits = assert_same_verdicts_on_breaks(rng, game, target)
         c1_hits = [a + b for a, b in zip(c1_hits, hits)]

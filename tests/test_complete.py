@@ -83,10 +83,10 @@ def test_completion_output_is_reachable(wide_source):
 
 def test_completion_runs_no_reachability_check(monkeypatch, wide_source, cube, corpus):
     # the outer sum of zero-sum star vectors is reachable by construction
-    def unused(diff):
+    def unused(source, target):
         raise AssertionError("completion ran the reachability check")
 
-    monkeypatch.setattr("preplay.characterize._check_diff", unused)
+    monkeypatch.setattr("preplay.characterize._check", unused)
     wide = complete_from_seed(wide_source, Seed((0, 0), WIDE_SEED))
     assert wide.payoffs == tuple(pair for row in WIDE_COMPLETED for pair in row)
     cube_cells = tuple(
@@ -108,6 +108,23 @@ def test_seed_sum_violation(wide_source):
     with pytest.raises(SeedSumViolation) as info:
         complete_from_seed(wide_source, Seed((0, 0), bad))
     assert "(A1,B2)" in str(info.value)
+
+
+def test_seed_sum_violation_message(wide_source):
+    bad = {**WIDE_SEED, (0, 1): (4, 5)}
+    with pytest.raises(SeedSumViolation) as info:
+        complete_from_seed(wide_source, Seed((0, 0), bad))
+    assert str(info.value) == (
+        "seed at (A1,B2) has payoff total 9; offers preserve the source total 8"
+    )
+    # both totals are reduced: 1/6 + 1/3 and 1/4 + 1/12
+    source = Game(("A", "B"), (("A1",), ("B1", "B2")), ((Fraction(1, 4), Fraction(1, 12)), (1, 1)))
+    seed = Seed((0, 0), {(0, 0): (Fraction(1, 6), Fraction(1, 3)), (0, 1): (1, 1)})
+    with pytest.raises(SeedSumViolation) as info:
+        complete_from_seed(source, seed)
+    assert str(info.value) == (
+        "seed at (A1,B1) has payoff total 1/2; offers preserve the source total 1/3"
+    )
 
 
 def test_incomplete_seed_missing_profile(wide_source):
