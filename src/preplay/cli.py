@@ -546,7 +546,6 @@ _PD_PAYOFFS = {
 
 def _cmd_demo(args) -> int:
     game = make_game(("I", "II"), (("C", "D"), ("C", "D")), _PD_PAYOFFS)
-    space = game.space
     steps = [
         ("M0 (the Prisoner's Dilemma)", None),
         ("M1 = M0 after the offer", offers.Offer("I", "II", "C", Fraction(2))),
@@ -556,7 +555,7 @@ def _cmd_demo(args) -> int:
     for title, offer in steps:
         if offer is not None:
             out.append(f"offer: {offer.describe()}")
-            game = offers.apply_offer_set(game, offers.OfferSet(space, (offer,)))
+            game = offers.apply_offer(game, offer)
         out.append(f"{title}:")
         out.append(format_matrix(game))
         out.append(f"pure Nash equilibria: {_profiles_text(_named(game, analyze.pure_nash(game)))}")

@@ -18,7 +18,9 @@ the profile's own denominators: C1 reads it where the players' scales
 differ, and so do ``constant_sum``, completion's seed check and
 ``payoff_sum``.  Apply and completion write a game through one outer-sum
 kernel (``_add_separable``), which adds on Python int pairs, one player at a
-time, and never reads the view.
+time, and never reads the view.  Every payoff a game holds is a plain
+``Fraction`` (``as_rational`` reads subclasses as the number they hold), so
+the kernel hands back each payoff it does not move as it is.
 
 The hot loops of this module are the package's one reliance on
 ``Fraction``'s private layout: ``_fraction`` builds a ``Fraction`` by filling
@@ -136,8 +138,10 @@ def _scales(cells: Sequence[PayoffVector], bits: Optional[int] = None) -> Option
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or string to an exact Fraction.
+    """Coerce an int, Fraction, or string to an exact, plain Fraction.
 
+    A subclass of int or Fraction (an ``IntEnum``, say) is read as the plain
+    number it holds, so every value this returns is ``type(v) is Fraction``.
     Strings may be integers ("3"), ratios ("3/4"), or decimals ("0.25"),
     each with an optional sign and ASCII digits only; decimals are read
     exactly, not via binary floating point.  A string is matched once, and
@@ -172,13 +176,10 @@ def as_rational(value: RationalLike) -> Fraction:
         if denominator == 0:
             raise ValueError(f"not a rational value: {value!r}")
         return _fraction(-numerator if sign == "-" else numerator, denominator)
-    if isinstance(value, bool):
-        raise TypeError(f"not a rational value: {value!r}")
-    if isinstance(value, int):
-        # an int subclass: Fraction reads it as the plain int it holds
+    # a subclass of int or Fraction, read as the plain number it holds; bool
+    # is an int subclass too, but True is not a payoff
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
     raise TypeError(f"not a rational value: {value!r}")
 
 
@@ -460,8 +461,9 @@ def _add_separable(
 
     Each player's column is expanded one axis at a time in row-major order
     as unreduced int pairs ``(a, b)``, so a cell's ``b`` is the product of
-    only its own n + 1 step denominators, and each output payoff is one
-    ``_fraction`` built from its pair and the old payoff.  The game's
+    only its own n + 1 step denominators.  Each moved payoff is one
+    ``_fraction`` built from its pair and the old payoff; a payoff whose pair
+    adds 0 is handed back as it is, the source's own object.  The game's
     integer view ``_scaled`` is never read.
     """
     columns = []
@@ -472,7 +474,7 @@ def _add_separable(
             pairs = [(a * sd + sn * b, b * sd) for a, b in pairs for sn, sd in reads]
         columns.append(
             [
-                _fraction(v._numerator * b + a * v._denominator, v._denominator * b)
+                _fraction(v._numerator * b + a * v._denominator, v._denominator * b) if a else v
                 for v, (a, b) in zip(column, pairs)
             ]
         )

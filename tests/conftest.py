@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -162,6 +163,26 @@ def random_game(rng, min_players=2, max_players=3, min_strats=2, max_strats=4):
         size *= len(row)
     payoffs = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(size))
     return Game(players, strategies, payoffs)
+
+
+# the shapes the benchmark's reach and transform workloads build
+WORKLOAD_SHAPES = [
+    (10, 10), (20, 20), (40, 40), (3, 3, 3, 3), (5, 5, 5, 5), (6, 6, 6), (12, 12, 12)
+]
+
+
+def shape_game(rng, counts):
+    """A game of the given shape on raw cells: ints, ratio strings and
+    ``Fraction``s, as a library caller may pass them."""
+    players = tuple(f"P{k + 1}" for k in range(len(counts)))
+    strategies = tuple(tuple(f"s{j + 1}" for j in range(count)) for count in counts)
+    kinds = (
+        lambda: rng.randint(-20, 20),
+        lambda: f"{rng.randint(-20, 20)}/{rng.randint(1, 6)}",
+        lambda: Fraction(rng.randint(-20, 20), rng.randint(1, 6)),
+    )
+    cells = tuple(tuple(rng.choice(kinds)() for _ in counts) for _ in range(math.prod(counts)))
+    return Game(players, strategies, cells)
 
 
 def random_offer_set(rng, space, max_offers=5, payer=None):

@@ -63,18 +63,30 @@ def test_instrument_records_a_span_and_restores_every_layer(spans, m0):
     assert all(after[key] is before[key] for key in before)
 
 
+def traced_cli_child(tmp_path, *argv):
+    """The names of the spans a traced CLI child records, one per call."""
+    spans_path = tmp_path / "spans.jsonl"
+    package_root = str(Path(preplay.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, BENCH_SPANS=str(spans_path), PYTHONPATH=package_root)
+    result = subprocess.run(
+        [sys.executable, str(CLI_CHILD), *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return [json.loads(line)["name"] for line in spans_path.read_text().splitlines()]
+
+
 def test_traced_cli_child_records_the_layers_it_calls(tmp_path, m0):
     # the child imports only preplay.cli, so instrument finds the other layers
     # through the lazily loaded modules the package puts in sys.modules
     game = tmp_path / "m0.json"
     game.write_text(preplay.cli.serialize_game(m0))
-    spans_path = tmp_path / "spans.jsonl"
-    package_root = str(Path(preplay.cli.__file__).resolve().parents[1])
-    env = dict(os.environ, BENCH_SPANS=str(spans_path), PYTHONPATH=package_root)
-    result = subprocess.run(
-        [sys.executable, str(CLI_CHILD), "analyze", str(game)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    names = {json.loads(line)["name"] for line in spans_path.read_text().splitlines()}
+    names = set(traced_cli_child(tmp_path, "analyze", str(game)))
     assert {"cli.parse_game", "analyze.pure_nash", "analyze.pareto_optimal"} <= names
+
+
+def test_traced_demo_child_records_each_apply(tmp_path):
+    # demo applies its two offers through apply_offer, which reaches the
+    # apply layer through the offers module, so each apply is still a span
+    names = traced_cli_child(tmp_path, "demo", "pd")
+    assert names.count("offers.apply_offer_set") == 2

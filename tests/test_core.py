@@ -217,12 +217,15 @@ def test_game_rejects_a_payoff_vector_of_the_wrong_length():
         Game(("I", "II"), (("a",), ("b", "c")), ((1, 2), (1, 2, 3)))
 
 
-def test_as_rational_keeps_a_fraction_subclass():
+def test_as_rational_reads_a_fraction_subclass_as_its_plain_fraction():
     class Exact(Fraction):
         pass
 
-    value = Exact(3, 4)
-    assert as_rational(value) is value
+    for value in (Exact(3, 4), Exact(-7, 2), Exact(5)):
+        rational = as_rational(value)
+        assert type(rational) is Fraction
+        assert rational == value and hash(rational) == hash(value)
+        assert (type(rational.numerator), type(rational.denominator)) == (int, int)
 
 
 def test_as_rational_reads_an_int_subclass_as_its_plain_int():

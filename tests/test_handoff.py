@@ -4,7 +4,6 @@ checked here against the public constructor's, which coerces and checks
 every value, on the seeded corpus and on the game shapes of the benchmark's
 ``reach`` and ``transform`` workloads."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -21,24 +20,7 @@ from preplay import (
     make_game,
 )
 from preplay.cli import parse_game, serialize_game
-from conftest import random_offer_set
-
-# the shapes the reach and transform workloads build
-SHAPES = [(10, 10), (20, 20), (40, 40), (3, 3, 3, 3), (5, 5, 5, 5), (6, 6, 6), (12, 12, 12)]
-
-
-def shape_game(rng, counts):
-    """A game of the given shape on raw cells: ints, ratio strings and
-    ``Fraction``s, as a library caller may pass them."""
-    players = tuple(f"P{k + 1}" for k in range(len(counts)))
-    strategies = tuple(tuple(f"s{j + 1}" for j in range(count)) for count in counts)
-    kinds = (
-        lambda: rng.randint(-20, 20),
-        lambda: f"{rng.randint(-20, 20)}/{rng.randint(1, 6)}",
-        lambda: Fraction(rng.randint(-20, 20), rng.randint(1, 6)),
-    )
-    cells = tuple(tuple(rng.choice(kinds)() for _ in counts) for _ in range(math.prod(counts)))
-    return Game(players, strategies, cells)
+from conftest import WORKLOAD_SHAPES, random_offer_set, shape_game
 
 
 def built_games(game, offer_set):
@@ -69,7 +51,7 @@ def cases(corpus):
     """(game, offer set) pairs: part of the corpus, then one per shape."""
     rng = random.Random(2012)
     pairs = list(corpus[:60])
-    for counts in SHAPES:
+    for counts in WORKLOAD_SHAPES:
         game = shape_game(rng, counts)
         pairs.append((game, random_offer_set(rng, game.space, max_offers=12)))
     return pairs
@@ -124,3 +106,34 @@ def test_builders_coerce_no_payoff_again(cases, coercions_in_game):
         Game(public.players, public.strategies, public.payoffs)
         assert len(coercions_in_game) == public.shape.size * len(public.players)
         coercions_in_game.clear()
+
+
+class Exact(Fraction):
+    """A ``Fraction`` subclass, as a library caller may pass one."""
+
+
+def test_subclassed_values_enter_as_plain_fractions():
+    rng = random.Random(2013)
+    plain = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(8)]
+    players, strategies = ("I", "II"), (("a", "b"), ("c", "d"))
+
+    def built(values):
+        cells = tuple(zip(values[::2], values[1::2]))
+        entries = dict(zip([("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")], cells))
+        game = Game(players, strategies, cells)
+        offer = Offer("I", "II", "c", values[0])
+        return {
+            "Game": game,
+            "make_game": make_game(players, strategies, entries),
+            "apply_offer": apply_offer(game, offer),
+            "offer": offer,
+            "seed": Seed((0, 0), {(0, 0): cells[0], (0, 1): cells[1], (1, 0): cells[2]}),
+        }
+
+    subclassed = built([Exact(v) for v in plain])
+    assert subclassed == built(plain)
+    for name in ("Game", "make_game", "apply_offer"):
+        assert {type(v) for cell in subclassed[name].payoffs for v in cell} == {Fraction}, name
+    assert type(subclassed["offer"].amount) is Fraction
+    seed_values = {type(v) for cell in subclassed["seed"].assignments.values() for v in cell}
+    assert seed_values == {Fraction}

@@ -1,5 +1,6 @@
 """The outer-sum kernel behind apply and completion, against its Fraction
-reference: whole payoff tuples, every payoff a Fraction."""
+reference: whole payoff tuples, every payoff a Fraction, and every payoff the
+reference leaves unchanged handed back as the source's own object."""
 
 import random
 from fractions import Fraction
@@ -14,9 +15,17 @@ from preplay import (
     apply_offer,
     apply_offer_set,
     complete_from_seed,
+    make_profile_dominant,
 )
 from preplay.core import _add_separable
-from conftest import prime_denominator_game, random_game, random_offer_set, rational_game
+from conftest import (
+    WORKLOAD_SHAPES,
+    prime_denominator_game,
+    random_game,
+    random_offer_set,
+    rational_game,
+    shape_game,
+)
 
 
 def fraction_add_separable(game, origin, steps):
@@ -53,11 +62,13 @@ def fraction_complete(monkeypatch, source, seed):
         return complete_from_seed(source, seed)
 
 
-def assert_same_payoffs(game, reference):
+def assert_same_payoffs(game, reference, source):
     assert game.payoffs == reference.payoffs
-    for cell, expected in zip(game.payoffs, reference.payoffs):
-        for value, want in zip(cell, expected):
+    for cell, expected, old in zip(game.payoffs, reference.payoffs, source.payoffs):
+        for value, want, was in zip(cell, expected, old):
             assert type(value) is Fraction and value == want
+            # a payoff the kernel does not move is the source's own object
+            assert value is was or want != was
 
 
 def own_star_seed(rng, source, target):
@@ -68,13 +79,13 @@ def own_star_seed(rng, source, target):
 
 def assert_kernel_matches(monkeypatch, rng, game, offer_set):
     applied = apply_offer_set(game, offer_set)
-    assert_same_payoffs(applied, fraction_apply(game, offer_set))
+    assert_same_payoffs(applied, fraction_apply(game, offer_set), game)
     for offer in offer_set:
-        assert_same_payoffs(apply_offer(game, offer), fraction_apply(game, (offer,)))
+        assert_same_payoffs(apply_offer(game, offer), fraction_apply(game, (offer,)), game)
     seed = own_star_seed(rng, game, applied)
     completed = complete_from_seed(game, seed)
-    assert_same_payoffs(completed, fraction_complete(monkeypatch, game, seed))
-    assert_same_payoffs(completed, applied)
+    assert_same_payoffs(completed, fraction_complete(monkeypatch, game, seed), game)
+    assert_same_payoffs(completed, applied, game)
 
 
 def rational_offers(rng, space, count, denominator):
@@ -148,8 +159,29 @@ def test_kernel_adds_origin_and_steps_like_the_reference():
         origin = tuple(value() for _ in range(n))
         steps = [[tuple(value() for _ in range(n)) for _ in row] for row in game.strategies]
         assert_same_payoffs(
-            _add_separable(game, origin, steps), fraction_add_separable(game, origin, steps)
+            _add_separable(game, origin, steps), fraction_add_separable(game, origin, steps), game
         )
+
+
+def test_kernel_hands_back_the_payoffs_dominate_offers_do_not_move(monkeypatch):
+    # a dominate offer set moves payoffs only at the profiles where its
+    # payees play the designated strategies, and leaves the rest as they are
+    rng = random.Random(137)
+    for counts in WORKLOAD_SHAPES:
+        game = shape_game(rng, counts)
+        profile = tuple(rng.randrange(count) for count in counts)
+        offer_set = make_profile_dominant(game, profile, Fraction(rng.randint(1, 9), 2))
+        assert_kernel_matches(monkeypatch, rng, game, offer_set)
+        applied = apply_offer_set(game, offer_set)
+        old, new = (tuple(v for cell in g.payoffs for v in cell) for g in (game, applied))
+        moved = sum(v is not w for v, w in zip(old, new))
+        assert 0 < moved < len(old)
+        # the same offers with amount 0 move nothing: a new, equal game
+        # holding every payoff of the source
+        zero = tuple(Offer(o.payer, o.payee, o.payee_strategy, 0) for o in offer_set)
+        unmoved = apply_offer_set(game, OfferSet(game.space, zero))
+        assert unmoved == game and unmoved is not game
+        assert all(v is w for v, w in zip(old, (v for cell in unmoved.payoffs for v in cell)))
 
 
 def test_writing_a_game_never_builds_the_integer_view(monkeypatch):
