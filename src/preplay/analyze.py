@@ -10,20 +10,24 @@ each profile's exact total (``core._total``) instead of the view.
 
 Nash, dominance and the strictly dominant profile compare one player's slice
 table (``Game._slices``): one tuple of ints per strategy, entry i of every
-tuple facing the same opposing profile.  Pareto optimality is a bitmap
-skyline over the distinct scaled payoff vectors: one Python-int bitset per
-player and payoff value, the possible dominators taken in fixed-width chunks
-so that memory stays linear in the number of cells.
+tuple facing the same opposing profile.  Pareto optimality is one sweep over
+the distinct scaled payoff vectors, sorted best first in lexicographic
+order, so that only an earlier vector can dominate a later one and every
+earlier vector is already >= it on player 0.  Player 0 then needs no
+bitset: a vector's possible dominators are a prefix of the order.  Every
+other player keeps one Python-int bitset per payoff value, the possible
+dominators taken in fixed-width chunks so that memory stays linear in the
+number of cells.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import and_, ge, gt, lshift, ne, neg, or_, sub
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import and_, ge, gt, lshift, not_, or_
 from typing import Iterator, Mapping, Optional
 
 from .core import Game, Profile, _total
@@ -99,49 +103,59 @@ def pareto_optimal(game: Game) -> frozenset[Profile]:
     """Profiles whose payoff vector no other profile strongly dominates
     (>= in every coordinate, > in at least one).
 
-    A bitmap skyline over the distinct scaled payoff vectors.  Equal vectors
-    never dominate each other, so once copies are merged, a vector is
-    dominated iff some other vector is >= it on every player.  The possible
-    dominators are taken in chunks of ``_CHUNK``, one bit each.  Per player,
-    the chunk is sorted by that player's int and OR-ed into a running
-    bitset, best first; the bitset at the end of each run of equal ints is
-    the set of members >= that int, and each vector finds its own set by
-    bisection.  A vector is dominated iff the AND of its per-player sets
-    holds more than its own bit.  Each chunk keeps at most ``_CHUNK + 1``
-    sets of at most ``_CHUNK`` bits per player, so extra memory grows with
+    One sweep over the distinct scaled payoff vectors, sorted best first in
+    lexicographic order.  Equal vectors never dominate each other, so once
+    copies are merged, a vector is dominated iff some other vector is >= it
+    on every player.  Such a vector comes earlier in the order, and every
+    earlier vector is already >= it on player 0, so a vector is dominated
+    iff an earlier one is >= it on every other player.
+
+    The possible dominators are taken in chunks of ``_CHUNK`` positions,
+    one bit each, an earlier member on a higher bit.  The chunk members
+    before a vector are then a prefix mask: the bits above the vector's own,
+    or every bit for a vector of a later chunk.  For each other player,
+    ``_at_least`` gives each vector the set of members at least its value;
+    a vector is dominated iff the AND of its sets holds a bit in its prefix
+    mask, which one comparison tells, since the sets of a chunk member all
+    hold its own bit.  Each chunk keeps at most ``_CHUNK`` sets of at most
+    ``_CHUNK`` bits per player after the first, so extra memory grows with
     the number of cells, not with its square.
     """
     # the one kernel that compares whole payoff vectors, one per profile
     rows = list(zip(*game._scaled[1]))
-    vectors = list(dict.fromkeys(rows))
+    vectors = sorted(set(rows), reverse=True)
     size = len(vectors)
-    # negated, so that ascending order is best first
-    columns = [list(map(neg, column)) for column in zip(*vectors)]
-    dominated = set()
+    columns = list(zip(*vectors))[1:]
+    beaten = [False] * size
     for lo in range(0, size, _CHUNK):
         hi = min(lo + _CHUNK, size)
-        own = chain(repeat(0, lo), map(lshift, repeat(1), range(hi - lo)), repeat(0, size - hi))
+        # member i of the chunk is bit hi - lo - 1 - i, so the members before
+        # it are the bits above its own: a set holding its own bit is at
+        # least twice that bit iff it holds an earlier member.  Every member
+        # is earlier than a vector from a later chunk.
+        twice = chain(map(lshift, repeat(1), range(hi - lo, 0, -1)), repeat(1))
         common = reduce(partial(map, and_), [_at_least(column, lo, hi) for column in columns])
-        dominated.update(compress(count(), map(ne, common, own)))
+        beaten[lo:] = map(or_, beaten[lo:], map(ge, common, twice))
         del common  # frees this chunk's bitsets before the next chunk builds its own
-    beaten = set(map(vectors.__getitem__, dominated))
-    return frozenset(p for p, row in zip(game.shape.profiles(), rows) if row not in beaten)
+    optimal = set(compress(vectors, map(not_, beaten)))
+    return frozenset(p for p, row in zip(game.shape.profiles(), rows) if row in optimal)
 
 
-def _at_least(column: list[int], lo: int, hi: int) -> Iterator[int]:
-    """For each entry of ``column``, the bitset of the chunk members
-    ``lo <= i < hi`` whose entry is at most its own (member i is bit
-    ``i - lo``).  The column is negated payoffs, so these are the members
-    whose payoff is at least its own.  Members sharing an entry share one
-    bitset, so the chunk keeps at most ``hi - lo + 1`` of them."""
-    members = sorted(range(lo, hi), key=column.__getitem__)
-    ordered = list(map(column.__getitem__, members))
-    # marks the last member of each run of equal entries
-    last = list(map(ne, ordered, chain(islice(ordered, 1, None), (None,))))
-    bits = accumulate(map(lshift, repeat(1), map(sub, members, repeat(lo))), or_)
-    sets = [0, *compress(bits, last)]
-    runs = partial(bisect_right, list(compress(ordered, last)))
-    return map(sets.__getitem__, map(runs, column))
+def _at_least(column: tuple[int, ...], lo: int, hi: int) -> Iterator[int]:
+    """For each entry of ``column`` from position ``lo`` on, the bitset of
+    the chunk members ``lo <= i < hi`` whose entry is at least its own
+    (member i is bit ``hi - 1 - i``).  Members sharing an entry share one
+    bitset.  The chunk's own entries find theirs in a dict; an entry of a
+    later chunk takes the set of the next value up, by bisection."""
+    # indexed by bit: entry b is member hi - 1 - b's
+    part = column[lo:hi][::-1]
+    members = sorted(range(hi - lo), key=part.__getitem__, reverse=True)
+    # best first, so the last set written for a value holds every member >= it
+    bits = accumulate(map(lshift, repeat(1), members), or_)
+    sets = dict(zip(map(part.__getitem__, members), bits))
+    values, found = list(sets)[::-1], [*list(sets.values())[::-1], 0]
+    later = map(found.__getitem__, map(partial(bisect_left, values), islice(column, hi, None)))
+    return chain(map(sets.__getitem__, islice(column, lo, hi)), later)
 
 
 def strictly_dominant_profile(game: Game) -> Optional[Profile]:

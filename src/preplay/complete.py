@@ -30,6 +30,7 @@ from .core import (
     RationalLike,
     _add_separable,
     _total,
+    _vector,
     as_rational,
     format_profile,
     payoff_sum,
@@ -48,10 +49,7 @@ class Seed:
 
     def __post_init__(self):
         object.__setattr__(self, "base_profile", tuple(self.base_profile))
-        fixed = {
-            tuple(profile): tuple(as_rational(v) for v in vector)
-            for profile, vector in dict(self.assignments).items()
-        }
+        fixed = {tuple(p): _vector(vector) for p, vector in dict(self.assignments).items()}
         object.__setattr__(self, "assignments", fixed)
 
 

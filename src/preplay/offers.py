@@ -7,8 +7,12 @@ conditional on the payee's choice only, never on the payer's own.  So an
 offer set acts only through its net amount per (payer, payee, strategy):
 a set nets itself when built into a table keyed by index triples, and
 every operation builds one canonical ``OfferSet`` from a table (``_canonical``).
-Applying a set adds one payment vector per (payee, strategy) in one pass of
-the outer-sum kernel, which sums them on Python int pairs.
+Applying a set writes its table into one payment vector per (payee,
+strategy): each payer's entry is one net amount, and the payee's entry, the
+sum its payers pay there, is totalled on unreduced int pairs
+(``core._total``).  So it builds one ``Fraction`` per entry an offer touches
+and no other, and adds the vectors in one pass of the outer-sum kernel,
+which sums them on Python int pairs too.
 
 Offer-induced transformations commute, the empty offer set is the identity,
 and every offer set has an inverse realizable with nonnegative payments, so
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import Game, StrategySpace, _add_separable, as_rational
+from .core import Game, StrategySpace, _add_separable, _fraction, _total, as_rational
 from .errors import NameMismatch, SelfOffer, ShapeMismatch
 
 _Net = dict[tuple[int, int, int], Fraction]
@@ -152,9 +156,15 @@ def apply_offer_set(game: Game, offer_set: OfferSet) -> Game:
         raise NameMismatch("offer set and game disagree on player or strategy names")
     zero = (Fraction(0),) * len(game.players)
     steps = [[list(zero) for _ in row] for row in game.strategies]
+    # the table holds one amount per (payer, payee, strategy): a payer's
+    # entry of a step is one amount
     for (payer, payee, strategy), amount in offer_set._table.items():
-        steps[payee][strategy][payer] -= amount
-        steps[payee][strategy][payee] += amount
+        steps[payee][strategy][payer] = _fraction(-amount.numerator, amount.denominator)
+    # a step sums to 0, so the payee's entry is minus the rest of its total
+    for payee, strategy in {key[1:] for key in offer_set._table}:
+        step = steps[payee][strategy]
+        num, den = _total(step)
+        step[payee] = _fraction(-num, den)
     return _add_separable(game, zero, steps)
 
 

@@ -3,10 +3,11 @@ import math
 import pickle
 import random
 import tracemalloc
-from functools import cached_property
+from bisect import bisect_right
+from functools import cached_property, partial, reduce
 from fractions import Fraction
-from itertools import groupby
-from operator import ge
+from itertools import accumulate, chain, compress, count, groupby, islice, repeat
+from operator import and_, ge, lshift, ne, neg, or_, sub
 from typing import Optional
 
 import pytest
@@ -283,6 +284,40 @@ def skyline_pareto_optimal(game: Game) -> frozenset[Profile]:
     return frozenset(p for flat, p in enumerate(game.shape.profiles()) if flat in optimal)
 
 
+def bitmap_pareto_optimal(game: Game, chunk: int = 4096) -> frozenset[Profile]:
+    """Reference: the bitmap skyline over the distinct scaled vectors in
+    first-seen order.  Every vector tests every other one: per player, the
+    chunk's members sorted by that player's int and OR-ed into a running
+    bitset give each vector, by bisection, the members >= it, and a vector is
+    dominated iff the AND of its per-player sets holds more than its own bit."""
+    rows = list(zip(*game._scaled[1]))
+    vectors = list(dict.fromkeys(rows))
+    size = len(vectors)
+    # negated, so that ascending order is best first
+    columns = [list(map(neg, column)) for column in zip(*vectors)]
+    dominated = set()
+    for lo in range(0, size, chunk):
+        hi = min(lo + chunk, size)
+        own = chain(repeat(0, lo), map(lshift, repeat(1), range(hi - lo)), repeat(0, size - hi))
+        common = reduce(partial(map, and_), [bitmap_at_most(c, lo, hi) for c in columns])
+        dominated.update(compress(count(), map(ne, common, own)))
+    beaten = set(map(vectors.__getitem__, dominated))
+    return frozenset(p for p, row in zip(game.shape.profiles(), rows) if row not in beaten)
+
+
+def bitmap_at_most(column: list[int], lo: int, hi: int):
+    """For each entry of ``column``, the bitset of the members ``lo <= i <
+    hi`` whose entry is at most its own (member i is bit ``i - lo``)."""
+    members = sorted(range(lo, hi), key=column.__getitem__)
+    ordered = list(map(column.__getitem__, members))
+    # marks the last member of each run of equal entries
+    last = list(map(ne, ordered, chain(islice(ordered, 1, None), (None,))))
+    bits = accumulate(map(lshift, repeat(1), map(sub, members, repeat(lo))), or_)
+    sets = [0, *compress(bits, last)]
+    runs = partial(bisect_right, list(compress(ordered, last)))
+    return map(sets.__getitem__, map(runs, column))
+
+
 def reference_strictly_dominant_profile(game: Game) -> Optional[Profile]:
     """Reference: recomputes every player's dominance pairs."""
     space = game.space
@@ -423,7 +458,7 @@ def transferred_game(rng, counts, rational):
 
 @pytest.mark.parametrize(
     "counts",
-    [(3, 3, 3, 3), (6, 6, 6), (20, 20), (5, 5, 5, 5), (12, 12, 12), (8, 8, 8, 8)],
+    [(3, 3, 3, 3), (6, 6, 6), (20, 20), (5, 5, 5, 5), (12, 12, 12), (8, 8, 8, 8), (40, 40)],
     ids=lambda counts: "x".join(map(str, counts)),
 )
 def test_pareto_matches_skyline_on_transferred_games(counts):
@@ -432,9 +467,56 @@ def test_pareto_matches_skyline_on_transferred_games(counts):
         game = transferred_game(rng, counts, rational)
         optimal = pareto_optimal(game)
         assert optimal == skyline_pareto_optimal(game)
+        assert optimal == bitmap_pareto_optimal(game)
         assert 1 < len(optimal) < game.shape.size
         if game.shape.size <= 81:
             assert optimal == quadratic_pareto_optimal(game)
+
+
+def test_pareto_matches_references_across_small_chunks(monkeypatch):
+    # ordinary games span several chunks once a chunk holds 37 vectors
+    monkeypatch.setattr(preplay.analyze, "_CHUNK", 37)
+    rng = random.Random(65)
+    games = [
+        transferred_game(rng, counts, rational)
+        for counts in ((3, 3, 3, 3), (6, 6, 6), (20, 20), (5, 5, 5, 5))
+        for rational in (False, True)
+    ]
+    games += [tie_game(rng) for _ in range(20)] + [rational_game(rng) for _ in range(20)]
+    chunks = 0
+    for game in games:
+        optimal = pareto_optimal(game)
+        assert optimal == bitmap_pareto_optimal(game, chunk=37)
+        assert optimal == skyline_pareto_optimal(game)
+        if game.shape.size <= 81:
+            assert optimal == quadratic_pareto_optimal(game)
+        chunks += len(set(game.payoffs)) > 37
+    assert chunks >= 8
+
+
+def test_pareto_keeps_copies_and_dominators_across_a_chunk_boundary(monkeypatch):
+    monkeypatch.setattr(preplay.analyze, "_CHUNK", 37)
+    # 100 outcomes (2x, -2x), all optimal, with exact copies at flat indices
+    # 36 and 37, either side of the first boundary in cell order, and at 3
+    # and 80, two chunks apart: copies never dominate each other
+    cells = [(2 * x, -2 * x) for x in range(100, 0, -1)]
+    cells[36] = cells[37]
+    cells[3] = cells[80]
+    # (2x - 1, -2x - 1) and (2x, -2x - 1) are dominated by (2x, -2x) alone,
+    # and hold a player-1 value no other outcome holds
+    cells[60] = (cells[38][0] - 1, cells[38][1] - 1)
+    cells[90] = (cells[75][0], cells[75][1] - 1)
+    beaten = {60, 90}
+    # best first, each dominator is the last vector of a chunk and the
+    # vector it dominates the first of the next: 36 | 37 and 73 | 74
+    vectors = sorted(set(cells), reverse=True)
+    assert [vectors.index(cells[f]) for f in (38, 60, 75, 90)] == [36, 37, 73, 74]
+    names = tuple(f"s{j + 1}" for j in range(10))
+    game = Game(("I", "II"), (names, names), tuple(cells))
+    shape = game.shape
+    optimal = pareto_optimal(game)
+    assert optimal == frozenset(shape.profiles()) - {shape._profile_at(f) for f in beaten}
+    assert optimal == bitmap_pareto_optimal(game, chunk=37) == quadratic_pareto_optimal(game)
 
 
 def test_pareto_across_chunks_in_linear_memory():

@@ -217,6 +217,23 @@ def test_game_rejects_a_payoff_vector_of_the_wrong_length():
         Game(("I", "II"), (("a",), ("b", "c")), ((1, 2), (1, 2, 3)))
 
 
+def test_game_reads_any_iterable_of_values_but_a_string_as_a_payoff_vector():
+    # a string iterates digit by digit, so "12" once read as (1, 2); the
+    # other builders are held to the same rule in test_handoff.py
+    with pytest.raises(TypeError, match=r"^not a payoff vector: '12'$"):
+        Game(("A", "B"), (("x",), ("y",)), ("12",))
+    for cell in ([1, "2"], (v for v in (1, "2")), map(int, "12")):
+        assert Game(("A", "B"), (("x",), ("y",)), (cell,)).payoffs == ((1, 2),)
+
+
+def test_game_coerces_cells_in_row_major_order():
+    # the first bad value is reported, before any count or length check
+    with pytest.raises(TypeError, match=r"^not a rational value: 0\.5$"):
+        Game(("A", "B"), (("x", "y"), ("z",)), ((1, 0.5, 3), (0.25,), "12"))
+    with pytest.raises(TypeError, match=r"^not a payoff vector: '12'$"):
+        Game(("A", "B"), (("x", "y"), ("z",)), ((1, 2), "12", (0.5,)))
+
+
 def test_as_rational_reads_a_fraction_subclass_as_its_plain_fraction():
     class Exact(Fraction):
         pass

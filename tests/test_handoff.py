@@ -137,3 +137,20 @@ def test_subclassed_values_enter_as_plain_fractions():
     assert type(subclassed["offer"].amount) is Fraction
     seed_values = {type(v) for cell in subclassed["seed"].assignments.values() for v in cell}
     assert seed_values == {Fraction}
+
+
+@pytest.mark.parametrize("cell", ["12", 12, Fraction(3, 2), b"12"], ids=repr)
+def test_builders_reject_a_string_or_a_number_as_the_constructor_does(cell):
+    players, strategies = ("I", "II"), (("a", "b"), ("c",))
+    cells = ((1, 2), cell)
+    builders = {
+        "Game": lambda: Game(players, strategies, cells),
+        "make_game": lambda: make_game(players, strategies, {("a", "c"): (1, 2), ("b", "c"): cell}),
+        "Seed": lambda: Seed((0, 0), {(0, 0): (1, 2), (1, 0): cell}),
+    }
+    messages = {}
+    for name, build in builders.items():
+        with pytest.raises(TypeError) as raised:
+            build()
+        messages[name] = str(raised.value)
+    assert set(messages.values()) == {f"not a payoff vector: {cell!r}"}, messages

@@ -184,6 +184,32 @@ def test_kernel_hands_back_the_payoffs_dominate_offers_do_not_move(monkeypatch):
         assert all(v is w for v, w in zip(old, (v for cell in unmoved.payoffs for v in cell)))
 
 
+def test_amounts_a_payee_receives_that_net_to_zero_leave_its_payoffs_unmoved(monkeypatch):
+    # the payee's entry of a step is minus the total of its payers' entries,
+    # on int pairs over the product of their denominators: the net amounts
+    # 5/6 and -5/6 (1/2 + 1/3 and its negation), or 1/2, 1/3 and -5/6, each
+    # leave the numerator 0 over 36
+    rng = random.Random(139)
+    game = shape_game(rng, (3, 3, 3, 3))
+    p1, p2, p3, payee = game.players
+    strategy = game.strategies[3][1]
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = (
+        ((p1, half), (p1, third), (p2, -half), (p2, -third)),
+        ((p1, half), (p2, third), (p3, -half - third)),
+    )
+    for amounts in cases:
+        offers = OfferSet(game.space, tuple(Offer(p, payee, strategy, a) for p, a in amounts))
+        assert_kernel_matches(monkeypatch, rng, game, offers)
+        applied = apply_offer_set(game, offers)
+        assert all(new[3] is old[3] for new, old in zip(applied.payoffs, game.payoffs))
+        # each payer pays where the payee plays the strategy, and nowhere else
+        payers = {game.players.index(p) for p, _ in amounts}
+        for profile, new, old in zip(game.shape.profiles(), applied.payoffs, game.payoffs):
+            for k in payers:
+                assert (new[k] is old[k]) == (profile[3] != 1)
+
+
 def test_writing_a_game_never_builds_the_integer_view(monkeypatch):
     view = Game.__dict__["_scaled"]
     computed = []
