@@ -503,9 +503,10 @@ def _cmd_synth(args) -> int:
 def _cmd_complete(args) -> int:
     game = _read_game(args.game)
     assignments = parse_seed_assignments(_read_text(args.seed), game, source=args.seed)
-    base = (0,) * game.shape.player_count
     if args.base is not None:
         base = _profile_option(game, args.base, "--base")
+    else:
+        base = (0,) * game.shape.player_count
     completed = complete.complete_from_seed(game, complete.Seed(base, assignments))
     _emit(args, serialize_game(completed))
     return 0
@@ -582,39 +583,47 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, *positionals):
+    def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        for positional in positionals:
-            p.add_argument(positional)
         return p
 
-    p = add("apply", _cmd_apply, "apply an offer set to a game", "game", "offers")
+    p = add("apply", _cmd_apply, "apply an offer set to a game")
+    p.add_argument("game")
+    p.add_argument("offers")
     p.add_argument("-o", "--output")
     p.add_argument("--strict", action="store_true", help="reject negative amounts")
 
-    add("check", _cmd_check, "decide whether a target is reachable by offers", "game", "target")
+    p = add("check", _cmd_check, "decide whether a target is reachable by offers")
+    p.add_argument("game")
+    p.add_argument("target")
 
-    p = add("synth", _cmd_synth, "construct offers realizing a reachable target", "game", "target")
+    p = add("synth", _cmd_synth, "construct offers realizing a reachable target")
+    p.add_argument("game")
+    p.add_argument("target")
     p.add_argument("--nonnegative", action="store_true", help="decompose negative amounts")
     p.add_argument("-o", "--output")
 
-    p = add(
-        "complete", _cmd_complete, "extend a star seed to the unique reachable game", "game", "seed"
-    )
+    p = add("complete", _cmd_complete, "extend a star seed to the unique reachable game")
+    p.add_argument("game")
+    p.add_argument("seed")
     p.add_argument("--base", help="base profile as comma-separated strategy names")
     p.add_argument("-o", "--output")
 
-    p = add("invert", _cmd_invert, "construct the offer set undoing another", "game", "offers")
+    p = add("invert", _cmd_invert, "construct the offer set undoing another")
+    p.add_argument("game")
+    p.add_argument("offers")
     p.add_argument("-o", "--output")
     p.add_argument("--strict", action="store_true", help="reject negative amounts")
 
-    p = add("dominate", _cmd_dominate, "make a chosen profile strictly dominant", "game")
+    p = add("dominate", _cmd_dominate, "make a chosen profile strictly dominant")
+    p.add_argument("game")
     p.add_argument("--profile", required=True, help="comma-separated strategy names")
     p.add_argument("--margin", default="1", help="required dominance margin (positive rational)")
     p.add_argument("-o", "--output")
 
-    p = add("analyze", _cmd_analyze, "pure-strategy analysis of a game", "game")
+    p = add("analyze", _cmd_analyze, "pure-strategy analysis of a game")
+    p.add_argument("game")
     p.add_argument("--json", action="store_true")
 
     p = add("demo", _cmd_demo, "worked walkthrough")

@@ -18,11 +18,9 @@ the profile's own denominators: C1 reads it where the players' scales
 differ, and so do ``constant_sum``, completion's seed check and
 ``payoff_sum``.  Apply and completion write a game through one outer-sum
 kernel (``_add_separable``), which adds on Python int pairs, one player at a
-time, and never reads the view: every axis but the last is expanded into a
-list of pairs, and the last axis is added as each payoff is built, so no
-list of pairs as long as the game is kept.  Every payoff a game holds is a
-plain ``Fraction`` (``as_rational`` reads subclasses as the number they
-hold), so the kernel hands back each payoff it does not move as it is.
+time, and never reads the view.  Every payoff a game holds is a plain
+``Fraction`` (``as_rational`` reads subclasses as the number they hold), so
+the kernel hands back each payoff it does not move as it is.
 
 The hot loops of this module are the package's one reliance on
 ``Fraction``'s private layout: ``_fraction`` builds a ``Fraction`` by filling
@@ -32,12 +30,12 @@ directly instead of the ``numerator`` and ``denominator`` properties.  No
 other module touches them.
 
 A game's payoffs are checked once, where the game enters: the public
-constructor coerces and checks every value (``_vectors``; its check of one
-payoff vector, ``_vector``, is shared with ``make_game`` and ``Seed``, so
-all three reject a string or a single number given as a vector alike),
-while the document parser, ``make_game`` and ``_add_separable``, which have
-already checked or exactly built their cells, hand ``Game`` its space and it
-takes their cells as given.  Profiles the package generates itself (from ``GameShape.profiles``,
+constructor coerces and checks every value (through ``_vector``, which
+``make_game`` and ``Seed`` share, so all three reject a string or a single
+number given as a payoff vector alike), while the document parser,
+``make_game`` and ``_add_separable``, which have already checked or exactly
+built their cells, hand ``Game`` its space and it takes their cells as
+given.  Profiles the package generates itself (from ``GameShape.profiles``,
 a star, or an analysis kernel) are read without validating them again.
 
 Profiles are tuples of 0-based strategy indices, one per player, in player
@@ -51,7 +49,7 @@ import re
 from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, cycle, product, repeat
+from itertools import product
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -191,15 +189,13 @@ def _vector(cell: Iterable[RationalLike]) -> PayoffVector:
     """A payoff vector with each value coerced by ``as_rational``.  A string
     iterates, but digit by digit, so it is no more a vector than a single
     number is; both raise ``TypeError``."""
-    if isinstance(cell, (str, bytes)) or not hasattr(cell, "__iter__"):
+    if isinstance(cell, (str, bytes)):
         raise TypeError(f"not a payoff vector: {cell!r}")
-    return tuple(map(as_rational, cell))
-
-
-def _vectors(cells: Iterable[Iterable[RationalLike]]) -> tuple[PayoffVector, ...]:
-    """Every cell read by ``_vector``, in order.  A plain tuple is neither a
-    string nor a number, so it skips the checks and the call."""
-    return tuple([tuple(map(as_rational, c)) if type(c) is tuple else _vector(c) for c in cells])
+    try:
+        values = iter(cell)
+    except TypeError:
+        raise TypeError(f"not a payoff vector: {cell!r}") from None
+    return tuple(map(as_rational, values))
 
 
 def format_profile(profile: Profile) -> str:
@@ -393,7 +389,7 @@ class Game:
         space = _space
         if space is None or (space.players, space.strategies) != (self.players, self.strategies):
             space = StrategySpace(tuple(self.players), tuple(tuple(r) for r in self.strategies))
-            cells = _vectors(self.payoffs)
+            cells = tuple(map(_vector, self.payoffs))
             object.__setattr__(self, "payoffs", cells)
             size = space.shape.size
             if len(cells) < size:
@@ -480,26 +476,21 @@ def _add_separable(
 
     Each player's column is expanded one axis at a time in row-major order
     as unreduced int pairs ``(a, b)``, so a cell's ``b`` is the product of
-    only its own n + 1 step denominators.  The last axis is added as each
-    payoff is built, so only the pairs of the other axes are kept.  Each
-    moved payoff is one ``_fraction`` built from its pair and the old
-    payoff; a payoff whose pair adds 0 is handed back as it is, the source's
-    own object.  The game's integer view ``_scaled`` is never read.
+    only its own n + 1 step denominators.  Each moved payoff is one
+    ``_fraction`` built from its pair and the old payoff; a payoff whose pair
+    adds 0 is handed back as it is, the source's own object.  The game's
+    integer view ``_scaled`` is never read.
     """
     columns = []
     for k, column in enumerate(zip(*game.payoffs)):
-        *axes, last = ([(s[k]._numerator, s[k]._denominator) for s in axis] for axis in steps)
         pairs = [(origin[k]._numerator, origin[k]._denominator)]
-        for reads in axes:
+        for axis in steps:
+            reads = [(s[k]._numerator, s[k]._denominator) for s in axis]
             pairs = [(a * sd + sn * b, b * sd) for a, b in pairs for sn, sd in reads]
-        # payoff f takes pair f // len(last) and last step f % len(last);
-        # "for c, d in [...]" binds its added pair once per payoff
-        outer = chain.from_iterable(map(repeat, pairs, repeat(len(last))))
         columns.append(
             [
-                _fraction(v._numerator * d + c * v._denominator, v._denominator * d) if c else v
-                for (a, b), (sn, sd), v in zip(outer, cycle(last), column)
-                for c, d in [(a * sd + sn * b, b * sd)]
+                _fraction(v._numerator * b + a * v._denominator, v._denominator * b) if a else v
+                for v, (a, b) in zip(column, pairs)
             ]
         )
     return Game(game.players, game.strategies, tuple(zip(*columns)), _space=game.space)

@@ -162,9 +162,8 @@ def apply_offer_set(game: Game, offer_set: OfferSet) -> Game:
         steps[payee][strategy][payer] = _fraction(-amount.numerator, amount.denominator)
     # a step sums to 0, so the payee's entry is minus the rest of its total
     for payee, strategy in {key[1:] for key in offer_set._table}:
-        step = steps[payee][strategy]
-        num, den = _total(step)
-        step[payee] = _fraction(-num, den)
+        num, den = _total(steps[payee][strategy])
+        steps[payee][strategy][payee] = _fraction(-num, den)
     return _add_separable(game, zero, steps)
 
 

@@ -154,3 +154,16 @@ def test_builders_reject_a_string_or_a_number_as_the_constructor_does(cell):
             build()
         messages[name] = str(raised.value)
     assert set(messages.values()) == {f"not a payoff vector: {cell!r}"}, messages
+
+
+def test_builders_read_a_cell_iterable_only_by_index_as_the_constructor_does():
+    class Indexed:
+        def __getitem__(self, i):
+            return (3, "1/2")[i]
+
+    players, strategies = ("I", "II"), (("a", "b"), ("c",))
+    vector = (Fraction(3), Fraction(1, 2))
+    assert Game(players, strategies, ((1, 2), Indexed())).payoffs[1] == vector
+    built = make_game(players, strategies, {("a", "c"): (1, 2), ("b", "c"): Indexed()})
+    assert built.payoffs[1] == vector
+    assert Seed((0, 0), {(1, 0): Indexed()}).assignments[(1, 0)] == vector
