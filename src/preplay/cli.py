@@ -26,10 +26,12 @@ document is
 Exit codes: 0 success, 1 domain failure (target unreachable, seed sum
 violation, nonpositive margin), 2 malformed input, a closed standard output
 where a result goes there, or a result too long to print: a number, in an
-output or a message, whose numerator or denominator has more digits than
-``sys.get_int_max_str_digits()`` allows (4,300 by default).  That limit
-stays as it is, since it keeps int-to-str conversion of hostile numbers from
-taking quadratic time.
+output or in the ``--strict`` amount message, whose numerator or denominator
+has more digits than ``sys.get_int_max_str_digits()`` allows (4,300 by
+default).  That limit stays as it is, since it keeps int-to-str conversion
+of hostile numbers from taking quadratic time.  A seed sum or margin message
+names such a number by its length in bits (``core._shown``), so those
+failures exit 1 whatever the number.
 """
 
 from __future__ import annotations
@@ -122,14 +124,13 @@ def _expect_string(node, source: str, location: str) -> str:
 
 
 class _Fault(Exception):
-    """A payoff or amount that is not what the grammar allows: the message a
-    ``ParseError`` shows, and, for a payoff, its index path under
-    ``payoffs``, collected innermost first while the walk unwinds."""
+    """A payoff or amount that is not what the grammar allows, carrying only
+    the message a ``ParseError`` shows; the caller, which knows where the
+    value sits, builds the ``ParseError``."""
 
     def __init__(self, message: str):
         super().__init__(message)
         self.message = message
-        self.path: list[int] = []
 
 
 def _rational(node) -> Fraction:
@@ -193,8 +194,11 @@ def _read_payoffs(node, space: StrategySpace, source: str, nulls: bool = False) 
     elements, so the fault reported is the first in document order.  Each
     distinct raw value is parsed once, through a memo keyed by the value
     itself; only exact ints and strings reach it, since ``true`` and ``1.0``
-    equal ``1`` and hash alike.  A fault's location is built only when it is
-    raised, from the indices collected as the walk unwinds.
+    equal ``1`` and hash alike.  A fault is located from the cells read
+    before it: the walk visits arrays in row-major order and every array
+    before the faulty one is whole, so ``len(cells)`` is the flat index of
+    the faulty array's first cell, and that profile's leading indices are
+    the array's path under ``payoffs``.
     """
     counts = space.shape.strategy_counts
     n = len(counts)
@@ -203,40 +207,37 @@ def _read_payoffs(node, space: StrategySpace, source: str, nulls: bool = False) 
     cells: list = []
     append = cells.append
 
+    def fault(message: str, depth: int, *value: int) -> ParseError:
+        """The ``ParseError`` for the array at ``depth`` that holds the next
+        cell, or for the value at index ``value`` of that cell."""
+        path = space.shape._profile_at(len(cells))[:depth] + value
+        return ParseError(source, "payoffs" + "".join(f"[{i}]" for i in path), message)
+
     def walk(node, depth: int) -> None:
         if type(node) is not list or len(node) != counts[depth]:
-            raise _Fault(_array_fault(node, counts[depth]))
-        try:
-            if depth < last:
-                for i, child in enumerate(node):
-                    walk(child, depth + 1)
-                return
-            for i, cell in enumerate(node):
-                if type(cell) is list and len(cell) == n:
-                    values = []
-                    for v in cell:
-                        r = memo.get(v) if type(v) is int or type(v) is str else None
-                        if r is None:
-                            try:
-                                r = memo[v] = _rational(v)
-                            except _Fault as fault:
-                                fault.path.append(len(values))
-                                raise
-                        values.append(r)
-                    append(tuple(values))
-                elif cell is None and nulls:
-                    append(None)
-                else:
-                    raise _Fault(_array_fault(cell, n))
-        except _Fault as fault:
-            fault.path.append(i)
-            raise
+            raise fault(_array_fault(node, counts[depth]), depth)
+        if depth < last:
+            for child in node:
+                walk(child, depth + 1)
+            return
+        for cell in node:
+            if type(cell) is list and len(cell) == n:
+                values = []
+                for v in cell:
+                    r = memo.get(v) if type(v) is int or type(v) is str else None
+                    if r is None:
+                        try:
+                            r = memo[v] = _rational(v)
+                        except _Fault as exc:
+                            raise fault(exc.message, n, len(values)) from None
+                    values.append(r)
+                append(tuple(values))
+            elif cell is None and nulls:
+                append(None)
+            else:
+                raise fault(_array_fault(cell, n), n)
 
-    try:
-        walk(node, 0)
-    except _Fault as fault:
-        location = "payoffs" + "".join(f"[{i}]" for i in reversed(fault.path))
-        raise ParseError(source, location, fault.message) from None
+    walk(node, 0)
     return cells
 
 

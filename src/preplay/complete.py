@@ -29,6 +29,7 @@ from .core import (
     Profile,
     RationalLike,
     _add_separable,
+    _shown,
     _total,
     _vector,
     as_rational,
@@ -102,8 +103,8 @@ def complete_from_seed(source: Game, seed: Seed) -> Game:
         (num, den), (s_num, s_den) = _total(vector), _total(current)
         if num * s_den != s_num * den:
             raise SeedSumViolation(
-                f"seed at {space.name_profile(p)} has payoff total {Fraction(num, den)}; "
-                f"offers preserve the source total {Fraction(s_num, s_den)}"
+                f"seed at {space.name_profile(p)} has payoff total {_shown(Fraction(num, den))}; "
+                f"offers preserve the source total {_shown(Fraction(s_num, s_den))}"
             )
         diff[p] = tuple(t - s for t, s in zip(vector, current))
 

@@ -37,6 +37,9 @@ number given as a payoff vector alike), while the document parser,
 built their cells, hand ``Game`` its space and it takes their cells as
 given.  Profiles the package generates itself (from ``GameShape.profiles``,
 a star, or an analysis kernel) are read without validating them again.
+A frame's facts are set once, when it is built: ``StrategySpace`` builds its
+``GameShape`` as it validates its names, and a ``Game`` keeps its space and
+that space's shape, so ``.space`` and ``.shape`` are plain attributes.
 
 Profiles are tuples of 0-based strategy indices, one per player, in player
 order.  User-facing messages render indices 1-based.
@@ -198,6 +201,17 @@ def _vector(cell: Iterable[RationalLike]) -> PayoffVector:
     return tuple(map(as_rational, values))
 
 
+def _shown(value: Fraction) -> str:
+    """``str(value)`` for a message, or, where the int-to-str digit limit
+    refuses its numerator or denominator, the number's length: the bits its
+    numerator and denominator take together.  A message built with it cannot
+    raise."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"a number of {value.numerator.bit_length() + value.denominator.bit_length()} bits"
+
+
 def format_profile(profile: Profile) -> str:
     """Render a profile as 1-based indices, e.g. ``(2,1)``."""
     return "(" + ",".join(str(i + 1) for i in profile) + ")"
@@ -288,7 +302,10 @@ class GameShape:
 
 @dataclass(frozen=True)
 class StrategySpace:
-    """Named players with named strategies; the frame games live in."""
+    """Named players with named strategies; the frame games live in.
+
+    ``shape``, the frame's ``GameShape``, is built with the space.
+    """
 
     players: tuple[str, ...]
     strategies: tuple[tuple[str, ...], ...]
@@ -310,11 +327,7 @@ class StrategySpace:
                 dup = next(s for s in row if row.count(s) > 1)
                 raise DuplicateName(f"duplicate strategy name {dup!r} for player {player!r}")
         # shape construction enforces N >= 2 and every count >= 1
-        self.shape
-
-    @cached_property
-    def shape(self) -> GameShape:
-        return GameShape(tuple(len(row) for row in self.strategies))
+        object.__setattr__(self, "shape", GameShape(tuple(map(len, strategies))))
 
     def player_index(self, name: str) -> int:
         try:
@@ -361,7 +374,8 @@ class Game:
 
     ``payoffs`` holds one payoff vector per profile in row-major order
     (see ``GameShape.profiles``).  ``space`` is the ``StrategySpace`` that
-    construction validated, kept on the instance.  Instances are immutable;
+    construction validated, and ``shape`` its ``GameShape``, both kept on
+    the instance.  Instances are immutable;
     transformations return new games over the same space.
 
     Built from outside the package, construction validates the frame,
@@ -385,8 +399,7 @@ class Game:
     # them again
     _known_scales: InitVar[Optional[tuple[int, ...]]] = None
 
-    def __post_init__(self, _space: Optional[StrategySpace], _known_scales):
-        space = _space
+    def __post_init__(self, space: Optional[StrategySpace], _known_scales):
         if space is None or (space.players, space.strategies) != (self.players, self.strategies):
             space = StrategySpace(tuple(self.players), tuple(tuple(r) for r in self.strategies))
             cells = tuple(map(_vector, self.payoffs))
@@ -405,12 +418,9 @@ class Game:
         object.__setattr__(self, "players", space.players)
         object.__setattr__(self, "strategies", space.strategies)
         object.__setattr__(self, "space", space)
+        object.__setattr__(self, "shape", space.shape)
         if _known_scales is not None:
             object.__setattr__(self, "_known_scales", _known_scales)
-
-    @cached_property
-    def shape(self) -> GameShape:
-        return self.space.shape
 
     @cached_property
     def _scaled(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:

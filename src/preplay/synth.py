@@ -33,7 +33,7 @@ from operator import sub
 from typing import Sequence
 
 from .characterize import _check
-from .core import Game, RationalLike, _fraction, as_rational
+from .core import Game, RationalLike, _fraction, _shown, as_rational
 from .errors import (
     ArityMismatch,
     IndexOutOfRange,
@@ -152,7 +152,7 @@ def make_profile_dominant(
     """
     margin = as_rational(margin)
     if margin <= 0:
-        raise NonpositiveMargin(f"margin must be positive, got {margin}")
+        raise NonpositiveMargin(f"margin must be positive, got {_shown(margin)}")
     try:
         profile = game.shape.validate_profile(profile)
     except (ArityMismatch, IndexOutOfRange) as exc:

@@ -19,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import preplay
-from preplay import ParseError, apply_offer_set, make_game
+from preplay import NonpositiveMargin, ParseError, Seed, SeedSumViolation, apply_offer_set
+from preplay import complete_from_seed, make_game, make_profile_dominant
 from preplay.cli import (
     _MAX_CELLS,
     _MAX_PLAYERS,
@@ -744,9 +745,7 @@ LONG_CASES = [
         ["apply", "--strict", "m0.json", "negative.json"],
         ["analyze", "coprime.json"],
         ["analyze", "coprime.json", "--json"],
-        ["complete", "m0.json", "seed.json"],
         ["dominate", "m0.json", "--profile", "C,C", "--margin", LONG_DECIMAL],
-        ["dominate", "m0.json", "--profile", "C,C", "--margin", "-" + LONG_DECIMAL],
     ],
     ids=[
         "apply-long-payoff",
@@ -754,9 +753,7 @@ LONG_CASES = [
         "apply-strict-negative-amount",
         "analyze-constant-sum",
         "analyze-json-constant-sum",
-        "complete-seed-sum-message",
         "dominate-positive-margin",
-        "dominate-negative-margin",
     ],
 )
 def test_a_result_too_long_to_print_exits_2(files, capsys, argv):
@@ -765,6 +762,53 @@ def test_a_result_too_long_to_print_exits_2(files, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: result: a number to print has more than 4300 digits\n"
+
+
+# LONG_DECIMAL in lowest terms is (10^8600 - 1) / 10^4300: 28,569 bits over 14,285
+LONG_BITS = "a number of 42854 bits"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["complete", "m0.json", "seed.json"],
+            f"seed at (C,C) has payoff total {LONG_BITS}; offers preserve the source total 8",
+        ),
+        (
+            ["dominate", "m0.json", "--profile", "C,C", "--margin", "-" + LONG_DECIMAL],
+            f"margin must be positive, got {LONG_BITS}",
+        ),
+    ],
+    ids=["complete-seed-sum-message", "dominate-negative-margin"],
+)
+def test_a_domain_failure_with_a_number_too_long_to_print_exits_1(files, capsys, argv, message):
+    paths = {name: files(name, text) for name, text in LONG_DOCS.items()}
+    assert run([paths.get(arg, arg) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_library_errors_name_a_number_too_long_to_print_by_its_length(m0):
+    star = {(0, 0): (LONG_DECIMAL, 0), (0, 1): (0, 5), (1, 0): (5, 0)}
+    with pytest.raises(SeedSumViolation) as info:
+        complete_from_seed(m0, Seed((0, 0), star))
+    assert str(info.value) == (
+        f"seed at (C,C) has payoff total {LONG_BITS}; offers preserve the source total 8"
+    )
+    # 1/10^4300: a denominator of 4,301 digits and 14,285 bits over a 1-bit numerator
+    tiny = Fraction(1, 10**4300)
+    source = make_game(("I", "II"), (("a",), ("b",)), {("a", "b"): (tiny, 0)})
+    with pytest.raises(SeedSumViolation) as info:
+        complete_from_seed(source, Seed((0, 0), {(0, 0): (0, 0)}))
+    assert str(info.value) == (
+        "seed at (a,b) has payoff total 0; offers preserve the source total a number of 14286 bits"
+    )
+    for margin, shown in (("-" + LONG_DECIMAL, LONG_BITS), (-tiny, "a number of 14286 bits")):
+        with pytest.raises(NonpositiveMargin) as info:
+            make_profile_dominant(m0, (0, 0), margin)
+        assert str(info.value) == f"margin must be positive, got {shown}"
 
 
 @settings(max_examples=300, deadline=None)

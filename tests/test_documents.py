@@ -40,6 +40,7 @@ from conftest import (
     prime_denominator_game,
     random_game,
     rational_game,
+    shape_game,
     tie_game,
 )
 
@@ -303,13 +304,21 @@ def rational_forms(rng, value):
     return rng.choice(forms)
 
 
+# frames where a fault's location rests most on the strides: four and five
+# players, and players of a single strategy, first, inside and last
+WALK_FRAMES = [
+    (2, 2, 2, 2), (3, 2, 2, 3), (2, 1, 3, 2), (1, 3), (3, 1), (2, 2, 2, 2, 2), (1, 2, 1, 3, 1)
+]
+
+
 def document_games():
     rng = random.Random(20120806)
     games = [random_game(rng) for _ in range(40)]
     games += [rational_game(rng) for _ in range(40)]
     games += [tie_game(rng) for _ in range(20)]
     games += [constant_sum_game(rng) for _ in range(20)]
-    return games + [cube_game(), prime_denominator_game()]
+    games += [cube_game(), prime_denominator_game()]
+    return games + [shape_game(rng, counts) for counts in WALK_FRAMES for _ in range(4)]
 
 
 def payoff_paths(payoffs, prefix=()):
@@ -320,6 +329,19 @@ def payoff_paths(payoffs, prefix=()):
 
 
 FAULTS = (True, False, 1.0, 0.5, None, "x", "1e3", "1/0", " 3", [], {}, "row", ["0"], 7)
+
+
+def with_null_cells(rng, doc, n):
+    """A seed document: ``doc`` with each cell of an ``n``-player game
+    nulled at even odds."""
+    seed = copy.deepcopy(doc)
+    for path in payoff_paths(seed["payoffs"]):
+        if len(path) == n and rng.random() < 0.5:
+            parent = seed["payoffs"]
+            for i in path[:-1]:
+                parent = parent[i]
+            parent[path[-1]] = None
+    return seed
 
 
 def mutate(rng, doc):
@@ -353,14 +375,7 @@ def test_parser_matches_the_per_cell_walker_on_documents():
             parsed = parse_game(text)
             assert parsed == reference_parse_game(text) == game
             assert all(type(v) is Fraction for cell in parsed.payoffs for v in cell)
-            seed = copy.deepcopy(doc)
-            for path in payoff_paths(seed["payoffs"]):
-                if len(path) == len(game.players) and rng.random() < 0.5:
-                    parent = seed["payoffs"]
-                    for i in path[:-1]:
-                        parent = parent[i]
-                    parent[path[-1]] = None
-            seed_text = json.dumps(seed)
+            seed_text = json.dumps(with_null_cells(rng, doc, len(game.players)))
             assert parse_seed_assignments(seed_text, game) == reference_parse_seed(seed_text, game)
 
 
@@ -377,6 +392,19 @@ def test_parser_faults_match_the_per_cell_walker():
             )
             raised += isinstance(expected, str)
     assert raised > 400
+
+
+def test_seed_parser_faults_match_the_per_cell_walker():
+    rng = random.Random(6)
+    raised = 0
+    for game in document_games():
+        doc = game_document(game, lambda v: rational_forms(rng, v))
+        for _ in range(3):
+            text = json.dumps(mutate(rng, with_null_cells(rng, doc, len(game.players))))
+            expected = outcome(reference_parse_seed, text, game, source="s.json")
+            assert outcome(parse_seed_assignments, text, game, source="s.json") == expected
+            raised += isinstance(expected, str)
+    assert raised > 300
 
 
 def test_parser_matches_the_per_cell_walker_on_the_corpus(corpus):

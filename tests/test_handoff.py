@@ -31,7 +31,8 @@ def built_games(game, offer_set):
     )
     target = apply_offer_set(game, offer_set)
     base = tuple(count - 1 for count in game.shape.strategy_counts)
-    star = {p: target.payoff(p) for p in game.shape.star(base)}
+    # read through the source's shape, so that no built game's shape is read here
+    star = {p: target.payoffs[game.shape.flat_index(p)] for p in game.shape.star(base)}
     # make_game reads raw values: ints where the payoff is whole, else strings
     entries = {
         space.profile_names(p): tuple(v.numerator if v.denominator == 1 else str(v) for v in cell)
@@ -61,6 +62,8 @@ def test_built_games_match_the_public_constructor(cases):
     for game, offer_set in cases:
         built = built_games(game, offer_set)
         for name, g in built.items():
+            # the frame's shape is set when the game is built, not on first read
+            assert "shape" in vars(g) and g.shape is g.space.shape, name
             assert g == Game(g.players, g.strategies, g.payoffs), name
             assert type(g.payoffs) is tuple, name
             assert len(g.payoffs) == g.shape.size, name
