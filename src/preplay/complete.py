@@ -50,7 +50,8 @@ class Seed:
 
     def __post_init__(self):
         object.__setattr__(self, "base_profile", tuple(self.base_profile))
-        fixed = {tuple(p): _vector(vector) for p, vector in dict(self.assignments).items()}
+        memo: dict = {}
+        fixed = {tuple(p): _vector(vector, memo) for p, vector in dict(self.assignments).items()}
         object.__setattr__(self, "assignments", fixed)
 
 

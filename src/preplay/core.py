@@ -35,11 +35,18 @@ constructor coerces and checks every value (through ``_vector``, which
 number given as a payoff vector alike), while the document parser,
 ``make_game`` and ``_add_separable``, which have already checked or exactly
 built their cells, hand ``Game`` its space and it takes their cells as
-given.  Profiles the package generates itself (from ``GameShape.profiles``,
-a star, or an analysis kernel) are read without validating them again.
-A frame's facts are set once, when it is built: ``StrategySpace`` builds its
-``GameShape`` as it validates its names, and a ``Game`` keeps its space and
-that space's shape, so ``.space`` and ``.shape`` are plain attributes.
+given.  The public constructor, ``make_game`` and ``Seed`` each hand
+``_vector`` one memo per construction, so each distinct exact int or str
+is coerced once and equal ones share its ``Fraction``.  The memo is keyed
+as ``cli._read_payoffs`` keys its own: only values of exact type int or
+str are keys, never a bool, float, subclass or ``Fraction``, which may
+equal one and hash alike, and a value that fails to coerce is never
+stored.  Profiles the package generates itself (from
+``GameShape.profiles``, a star, or an analysis kernel) are read without
+validating them again.  A frame's facts are set once, when it is built:
+``StrategySpace`` builds its ``GameShape`` as it validates its names, and a
+``Game`` keeps its space and that space's shape, so ``.space`` and
+``.shape`` are plain attributes.
 
 Profiles are tuples of 0-based strategy indices, one per player, in player
 order.  User-facing messages render indices 1-based.
@@ -188,17 +195,32 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"not a rational value: {value!r}")
 
 
-def _vector(cell: Iterable[RationalLike]) -> PayoffVector:
+def _vector(cell: Iterable[RationalLike], memo: dict) -> PayoffVector:
     """A payoff vector with each value coerced by ``as_rational``.  A string
     iterates, but digit by digit, so it is no more a vector than a single
-    number is; both raise ``TypeError``."""
+    number is; both raise ``TypeError``.
+
+    ``memo`` is one construction's: each distinct exact int or str is
+    coerced once and its ``Fraction`` reused, keyed by the value itself, as
+    ``cli._read_payoffs`` keys its memo.  No other value is a key, since
+    ``True``, ``1.0`` and ``Fraction(1)`` equal ``1`` and hash alike, and a
+    value that fails to coerce raises before it is stored.
+    """
     if isinstance(cell, (str, bytes)):
         raise TypeError(f"not a payoff vector: {cell!r}")
     try:
         values = iter(cell)
     except TypeError:
         raise TypeError(f"not a payoff vector: {cell!r}") from None
-    return tuple(map(as_rational, values))
+    vector = []
+    for v in values:
+        r = memo.get(v) if type(v) is int or type(v) is str else as_rational(v)
+        # as_rational never returns None, so only an exact int or str missed
+        # in the memo is coerced here and stored
+        if r is None:
+            r = memo[v] = as_rational(v)
+        vector.append(r)
+    return tuple(vector)
 
 
 def _shown(value: Fraction) -> str:
@@ -380,7 +402,10 @@ class Game:
 
     Built from outside the package, construction validates the frame,
     coerces every payoff with ``as_rational`` and checks the cell count and
-    each vector's length.  The package's own builders hand over the frame's
+    each vector's length.  Values are checked in row-major order, and each
+    distinct exact int or str is coerced once per construction, through a
+    memo keyed as ``cli._read_payoffs`` keys its own, so equal ones share
+    one ``Fraction``.  The package's own builders hand over the frame's
     space (``_space``) with cells they have already checked or built
     exactly, and those are taken as given.
     """
@@ -402,7 +427,8 @@ class Game:
     def __post_init__(self, space: Optional[StrategySpace], _known_scales):
         if space is None or (space.players, space.strategies) != (self.players, self.strategies):
             space = StrategySpace(tuple(self.players), tuple(tuple(r) for r in self.strategies))
-            cells = tuple(map(_vector, self.payoffs))
+            memo: dict = {}
+            cells = tuple([_vector(cell, memo) for cell in self.payoffs])
             object.__setattr__(self, "payoffs", cells)
             size = space.shape.size
             if len(cells) < size:
@@ -539,13 +565,14 @@ def make_game(
     else:
         items = payoff_entries
     cells: dict[int, PayoffVector] = {}
+    memo: dict = {}
     for names, values in items:
         profile = space.profile_from_names(tuple(names))
         # indices read off the names are in range, so none is validated again
         flat = sum(map(mul, profile, shape.strides))
         if flat in cells:
             raise DuplicateOutcome(f"profile {space.name_profile(profile)} assigned twice")
-        values = _vector(values)
+        values = _vector(values, memo)
         if len(values) != len(players):
             raise ArityMismatch(
                 f"profile {space.name_profile(profile)}: payoff vector of length "

@@ -1113,3 +1113,27 @@ def test_utf8_stdout_keeps_names(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.startswith("players: \u0416, II\n")
+
+
+def test_strict_mode_admits_a_zero_and_a_fractional_amount(m0):
+    doc = json.loads(OFFER_DOC)
+    for amount in ("0", "1/2"):
+        doc["offers"][0]["amount"] = amount
+        parsed = parse_offers(json.dumps(doc), m0.space, strict=True)
+        assert parsed.offers[0].amount == Fraction(amount)
+
+
+def test_analyze_json_orders_dominance_pairs_by_dominator_first(files, capsys):
+    # I's b beats c and c beats a, so by dominator b's pairs come before
+    # (c, a), while by dominated strategy (c, a) would come before (b, c)
+    game = grid_game(("I", "II"), (("a", "b", "c"), ("x",)), [(0, 0), (2, 0), (1, 0)])
+    assert run(["analyze", files("g.json", serialize_game(game)), "--json"]) == 0
+    pairs = json.loads(capsys.readouterr().out)["dominance"]["I"]
+    assert [(p["dominator"], p["dominated"], p["kind"]) for p in pairs] == [
+        ("b", "a", "strict"),
+        ("b", "a", "weak"),
+        ("b", "c", "strict"),
+        ("b", "c", "weak"),
+        ("c", "a", "strict"),
+        ("c", "a", "weak"),
+    ]

@@ -1,5 +1,6 @@
 import copy
 import enum
+import json
 import math
 import pickle
 import random
@@ -17,6 +18,7 @@ from preplay import (
     GameShape,
     IndexOutOfRange,
     MissingOutcome,
+    ParseError,
     StrategySpace,
     UnknownPlayer,
     UnknownStrategy,
@@ -504,3 +506,35 @@ def test_scales_bound_holds_exactly_at_the_sum_of_bit_lengths():
     # the first two players fit in 30 bits, and the third is past them
     assert _scales([cells[0][:2]], 30) == (2**9, 2**19)
     assert _scales(cells, 30) is None
+
+
+# ---------------------------------------------------------------------------
+# the numbers and names a frame's messages give
+
+
+def test_strategy_count_messages_number_the_player_from_one():
+    doc = {"schema": 1, "players": ["I", "II"], "strategies": [["a"], []], "payoffs": []}
+    with pytest.raises(ParseError) as raised:
+        parse_game(json.dumps(doc))
+    assert raised.value.detail == "player 2 has 0 strategies; need at least 1"
+    with pytest.raises(ArityMismatch, match=r"^player 1 has 0 strategies; need at least 1$"):
+        GameShape((0, 2))
+    with pytest.raises(ArityMismatch, match=r"^player 2 has strategy count '2'; need an int$"):
+        GameShape((2, "2"))
+
+
+def test_out_of_range_message_numbers_the_entry_and_player_from_one():
+    shape = GameShape((2, 3))
+    with pytest.raises(IndexOutOfRange) as raised:
+        shape.validate_profile((1, 3))
+    assert str(raised.value) == "profile (2,4): entry 4 for player 2 is outside 1..3"
+    with pytest.raises(IndexOutOfRange) as raised:
+        shape.validate_profile((-1, 0))
+    assert str(raised.value) == "profile (0,1): entry 0 for player 1 is outside 1..2"
+
+
+def test_duplicate_name_message_names_the_duplicated_one():
+    with pytest.raises(DuplicateName, match=r"^duplicate player name 'b'$"):
+        StrategySpace(("a", "b", "b"), (("x",), ("y",), ("z",)))
+    with pytest.raises(DuplicateName, match=r"^duplicate strategy name 'b' for player 'II'$"):
+        StrategySpace(("I", "II"), (("x",), ("a", "b", "b")))
