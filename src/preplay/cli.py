@@ -16,8 +16,9 @@ as integers, integer strings, decimal strings ("0.5"), or ratio strings
 (integers without a denominator).  A game's payoff denominators may not
 be too varied: each player's payoffs share one least common denominator,
 and those denominators together may take at most 65,536 bits.  A game
-may have at most 64 players and at most 16,384 profiles.  Seed documents
-reuse the same grammar with ``null`` for unspecified cells.  An offer
+may have at most 16 players and at most 16,384 profiles.  Seed documents
+reuse the same grammar with ``null`` for unspecified cells, and the same
+bounds.  An offer
 document is
 
     {"schema": 1, "offers": [{"payer": "I", "payee": "II",
@@ -47,7 +48,7 @@ from typing import Optional, Sequence, Union
 
 # the other layers load lazily, when a command first calls into one of them
 from . import analyze, characterize, complete, offers, synth
-from .core import Game, Profile, StrategySpace, _scales, as_rational, make_game
+from .core import Game, Profile, StrategySpace, _scales, _text, as_rational, make_game
 from .errors import NonpositiveMargin, NotEquivalent, ParseError, PreplayError, SeedSumViolation
 
 SCHEMA_VERSION = 1
@@ -58,10 +59,15 @@ SCHEMA_VERSION = 1
 # scaled outcome, whatever the denominators' count and length.
 _MAX_SCALE_BITS = 1 << 16
 
-# Players one game document may name.  65 players with two strategies each
-# would already make over 2^64 profiles, so only single-strategy padding can
-# pass this, and synthesis makes n(n-1) offers for it.
-_MAX_PLAYERS = 64
+# Players one game document may name.  A request costs in proportion to
+# its payoff values, profiles times players, and 16,384 profiles leave room
+# for at most 14 players with two strategies or more, so every player past
+# 14 has one strategy: padding that multiplies the values without adding a
+# choice.  With 14 players of two, ``apply`` took 0.40 s and 95 MB at 16
+# players (``complete`` 0.37 s, ``analyze`` 0.20 s), 2.2 s and 432 MB at 32,
+# and 12 s and 1.4 GB at 64, writing 15, 71 and 282 MB (2-vCPU VM, Python
+# 3.11).
+_MAX_PLAYERS = 16
 
 # Profiles one game document may have (128 x 128).  Pareto optimality is
 # quadratic in the profiles where most outcomes are optimal: with every
@@ -111,16 +117,21 @@ def _expect_list(node, source: str, location: str, length: Optional[int] = None)
     return node
 
 
-def _expect_string(node, source: str, location: str) -> str:
-    if not isinstance(node, str):
-        raise ParseError(source, location, f"expected a string, got {type(node).__name__}")
-    try:
-        # json.loads turns "\ud800" into a lone surrogate, which UTF-8 cannot
-        # encode, so neither the output nor this detail may carry it
-        node.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ParseError(source, location, "string is not valid Unicode (lone surrogate)") from None
-    return node
+def _expect_string(node, source: str, location: str, *index: int) -> str:
+    """``node``, a string that UTF-8 can encode.  ``location`` is formatted
+    with ``index`` only to name a fault, so a name that is not at fault
+    costs no location text."""
+    # the detail, like the location, is formatted only at a fault
+    fault = "expected a string, got {}"
+    if isinstance(node, str):
+        try:
+            # json.loads turns "\ud800" into a lone surrogate, which UTF-8
+            # cannot encode, so neither the output nor this detail may carry it
+            node.encode("utf-8")
+            return node
+        except UnicodeEncodeError:
+            fault = "string is not valid Unicode (lone surrogate)"
+    raise ParseError(source, location.format(*index), fault.format(type(node).__name__))
 
 
 class _Fault(Exception):
@@ -163,13 +174,11 @@ def _parse_frame(doc: dict, source: str) -> StrategySpace:
         raise ParseError(
             source, "players", f"{len(players)} players; at most {_MAX_PLAYERS} are allowed"
         )
-    players = tuple(
-        _expect_string(p, source, f"players[{i}]") for i, p in enumerate(players)
-    )
+    players = tuple(_expect_string(p, source, "players[{}]", i) for i, p in enumerate(players))
     strategy_rows = _expect_list(doc.get("strategies"), source, "strategies", len(players))
     strategies = tuple(
         tuple(
-            _expect_string(s, source, f"strategies[{i}][{j}]")
+            _expect_string(s, source, "strategies[{}][{}]", i, j)
             for j, s in enumerate(_expect_list(row, source, f"strategies[{i}]"))
         )
         for i, row in enumerate(strategy_rows)
@@ -288,7 +297,7 @@ def serialize_game(game: Game) -> str:
     # a cell opens 2n + 2 spaces in, one level per player below "payoffs"
     pad = "\n" + " " * (2 * n + 4)
     head, sep, tail = "[" + pad + '"', '",' + pad + '"', '"\n' + " " * (2 * n + 2) + "]"
-    rows = [head + sep.join(map(str, cell)) + tail for cell in game.payoffs]
+    rows = [head + sep.join(map(_text, cell)) + tail for cell in game.payoffs]
     for axis in reversed(range(n)):
         m, indent = counts[axis], 2 * axis + 2
         rows = [_array(rows[i : i + m], indent) for i in range(0, len(rows), m)]
@@ -344,7 +353,7 @@ def serialize_offers(offer_set: offers.OfferSet) -> str:
     name = encode_basestring_ascii
     items = [
         f'{{\n      "payer": {name(o.payer)},\n      "payee": {name(o.payee)},\n'
-        f'      "strategy": {name(o.payee_strategy)},\n      "amount": "{o.amount}"\n    }}'
+        f'      "strategy": {name(o.payee_strategy)},\n      "amount": "{_text(o.amount)}"\n    }}'
         for o in offer_set
     ]
     return f'{{\n  "schema": {SCHEMA_VERSION},\n  "offers": {_array(items, 2)}\n}}\n'

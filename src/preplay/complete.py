@@ -10,9 +10,12 @@ the base b every profile p satisfies
 
 and the completion is read straight off the star as an outer sum over the
 axes, built in row-major order on Python int pairs by the same kernel that
-applies offers.  Each seed vector's total is checked against the source's
-with ``core._total``, on int pairs; ``Fraction`` totals are built only for
-the error message.
+applies offers.  Each star difference t - s, and each of the origin's
+(1 - n) c(b), is one ``core._fraction`` of int pairs read through the
+public ``as_integer_ratio``, ``numerator`` and ``denominator``, not a
+``Fraction`` operator.  Each seed vector's total is checked against the
+source's with ``core._total``, on int pairs; ``Fraction`` totals are built
+only for the error message.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .core import (
     Profile,
     RationalLike,
     _add_separable,
+    _fraction,
     _shown,
     _total,
     _vector,
@@ -107,10 +111,11 @@ def complete_from_seed(source: Game, seed: Seed) -> Game:
                 f"seed at {space.name_profile(p)} has payoff total {_shown(Fraction(num, den))}; "
                 f"offers preserve the source total {_shown(Fraction(s_num, s_den))}"
             )
-        diff[p] = tuple(t - s for t, s in zip(vector, current))
+        pairs = zip(map(Fraction.as_integer_ratio, vector), map(Fraction.as_integer_ratio, current))
+        diff[p] = tuple(_fraction(tn * sd - sn * td, td * sd) for (tn, td), (sn, sd) in pairs)
 
     # the same sum regrouped: c(p) = (1 - n) c(b) + sum_k c(b with axis k set to p_k)
-    origin = tuple((1 - n) * x for x in diff[base])
+    origin = tuple(_fraction((1 - n) * x.numerator, x.denominator) for x in diff[base])
     steps = [
         [diff[base[:k] + (v,) + base[k + 1 :]] for v in range(count)]
         for k, count in enumerate(shape.strategy_counts)

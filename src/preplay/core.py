@@ -16,18 +16,26 @@ which read it cut into one tuple per player and strategy
 (``Game._slices``).  ``_total`` is the one exact profile total, a sum over
 the profile's own denominators: C1 reads it where the players' scales
 differ, and so do ``constant_sum``, completion's seed check and
-``payoff_sum``.  Apply and completion write a game through one outer-sum
-kernel (``_add_separable``), which adds on Python int pairs, one player at a
-time, and never reads the view.  Every payoff a game holds is a plain
-``Fraction`` (``as_rational`` reads subclasses as the number they hold), so
-the kernel hands back each payoff it does not move as it is.
+``payoff_sum``.  ``_sum`` is the one exact sum of values gathered from
+several profiles or offers: Knuth's method on int pairs, which keeps the
+running sum over the lcm of its denominators and takes no gcd of the sum
+itself.  It nets repeated offers and totals the inverse's (payer, payee)
+blocks and synthesis's balances.  Apply and completion write a game
+through one outer-sum kernel (``_add_separable``), which adds on Python int
+pairs, one player at a time, and never reads the view.  Every payoff a
+game holds is a plain ``Fraction`` (``as_rational`` reads subclasses as
+the number they hold), so the kernel hands back each payoff it does not
+move as it is.
 
 The hot loops of this module are the package's one reliance on
 ``Fraction``'s private layout: ``_fraction`` builds a ``Fraction`` by filling
 its two slots, ``_numerator`` and ``_denominator``, and ``_scales``,
-``_add_separable``, ``_total`` and ``Game._scaled`` read those slots
-directly instead of the ``numerator`` and ``denominator`` properties.  No
-other module touches them.
+``_add_separable``, ``_total``, ``_sum``, ``_text`` and ``Game._scaled``
+read those slots directly instead of the ``numerator`` and ``denominator``
+properties.  No other module touches them (``tests/test_slot_reads.py``
+checks it): the others add through ``_sum`` and ``_fraction`` and read the
+public properties, so no sum on a request path runs ``Fraction``'s
+pure-Python operators, and the CLI writes payoff text through ``_text``.
 
 A game's payoffs are checked once, where the game enters: the public
 constructor coerces and checks every value (through ``_vector``, which
@@ -59,7 +67,7 @@ import re
 from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -97,11 +105,12 @@ PayoffVector = tuple[Fraction, ...]
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 
 
-def _fraction(n: int, d: int) -> Fraction:
+def _fraction(n: int, d: int, g: int = 0) -> Fraction:
     """``Fraction(n, d)`` for an int ``n`` and an int ``d > 0``, without
     ``Fraction.__new__``'s type dispatch and sign handling: one gcd, then the
-    two slots of a bare instance are filled in lowest terms."""
-    g = math.gcd(n, d)
+    two slots of a bare instance are filled in lowest terms.  A caller that
+    knows ``gcd(n, d)`` passes it as ``g``, and none is taken."""
+    g = g or math.gcd(n, d)
     if g != 1:
         n //= g
         d //= g
@@ -232,6 +241,13 @@ def _shown(value: Fraction) -> str:
         return str(value)
     except ValueError:
         return f"a number of {value.numerator.bit_length() + value.denominator.bit_length()} bits"
+
+
+def _text(v: Fraction) -> str:
+    """``str(v)``, written from the two slots as ``Fraction.__str__`` writes
+    it: the numerator alone where the denominator is 1, else ``n/d``.  Past
+    the int-to-str digit limit it raises the same ``ValueError``."""
+    return str(v._numerator) if v._denominator == 1 else f"{v._numerator}/{v._denominator}"
 
 
 def format_profile(profile: Profile) -> str:
@@ -502,6 +518,24 @@ def _total(cell: PayoffVector) -> tuple[int, int]:
         d = v._denominator
         num, den = num * d + v._numerator * den, den * d
     return num, den
+
+
+def _sum(values: Sequence[Fraction], minus: Sequence[Fraction] = ()) -> Fraction:
+    """``sum(values) - sum(minus)`` as one ``Fraction``, added value by value
+    on int pairs by Knuth's method (TAOCP Vol. 2, 4.5.1): the running sum
+    stays in lowest terms over the lcm of the denominators read so far, not
+    their product, and each step takes a gcd of two denominators and one of
+    that gcd, never a gcd of the sum itself.  That is how values gathered
+    from many profiles or offers are summed: the product of their
+    denominators, which ``_total`` takes, grows with their count, and a gcd
+    of a long sum costs more than the sum."""
+    num, den = 0, 1
+    for v, sign in (*zip(values, repeat(1)), *zip(minus, repeat(-1))):
+        g = math.gcd(den, v._denominator)
+        t = num * (v._denominator // g) + sign * v._numerator * (den // g)
+        g2 = math.gcd(t, g)
+        num, den = t // g2, den // g * (v._denominator // g2)
+    return _fraction(num, den, 1)
 
 
 def _add_separable(

@@ -18,7 +18,11 @@ Offer-induced transformations commute, the empty offer set is the identity,
 and every offer set has an inverse realizable with nonnegative payments, so
 the transformations of a fixed strategy space form a commutative group.
 The inverse of one net amount is two unconditional transfers that cancel
-(``_undo``).
+(``_undo``).  Those transfers add up per (payer, payee) block, so the
+inverse is built from block totals: each payee strategy gets the total of
+the block and of its reverse block minus the block's amount there, one
+``core._sum`` per key, instead of one ``Fraction`` addition per amount and
+strategy.  A repeated key is netted through ``core._sum`` as well.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import Game, StrategySpace, _add_separable, _fraction, _total, as_rational
+from .core import Game, StrategySpace, _add_separable, _fraction, _sum, _total, as_rational
 from .errors import NameMismatch, SelfOffer, ShapeMismatch
 
 _Net = dict[tuple[int, int, int], Fraction]
@@ -83,7 +87,7 @@ class OfferSet:
         table: _Net = {}
         for offer in self.offers:
             key = self.space._offer_key(offer.payer, offer.payee, offer.payee_strategy)
-            table[key] = table[key] + offer.amount if key in table else offer.amount
+            table[key] = _sum((table[key], offer.amount)) if key in table else offer.amount
         object.__setattr__(self, "_table", table)
 
     def __iter__(self) -> Iterator[Offer]:
@@ -114,13 +118,24 @@ def _undo(space: StrategySpace, net: _Net, table: _Net) -> _Net:
     shift), and q offers d back to p on every p strategy (an equal constant
     shift the other way).  The composition with the original offer changes
     nothing.  Amounts stay nonnegative whenever d >= 0.
+
+    Summed by (payer, payee) block: each payee strategy t of the block
+    (p, q) gets the block's total minus its amount on t, and every payer
+    strategy of the reverse block (q, p) gets the block's total.  So key
+    (p, q, t) gets the totals of (p, q) and (q, p) together, minus the
+    amount on t, plus what ``table`` holds there: one ``core._sum`` per key,
+    and one per block for the totals.
     """
-    counts = space.shape.strategy_counts
+    # each block's amounts by payee strategy, and its reverse block, which may be empty
+    blocks: dict = {pair: {} for p, q, _ in net for pair in ((p, q), (q, p))}
     for (p, q, s), d in net.items():
-        keys = [(p, q, t) for t in range(counts[q]) if t != s]
-        keys += [(q, p, u) for u in range(counts[p])]
-        for key in keys:
-            table[key] = table[key] + d if key in table else d
+        blocks[p, q][s] = d
+    zero = Fraction(0)
+    for (p, q), block in blocks.items():
+        # the totals of the block and of its reverse both shift every key
+        total = _sum([*block.values(), *blocks[q, p].values()])
+        for t in range(space.shape.strategy_counts[q]):
+            table[p, q, t] = _sum((total, table.get((p, q, t), zero)), (block.get(t, zero),))
     return table
 
 

@@ -33,7 +33,7 @@ from operator import sub
 from typing import Sequence
 
 from .characterize import _check
-from .core import Game, RationalLike, _fraction, _shown, as_rational
+from .core import Game, RationalLike, _fraction, _shown, _sum, as_rational
 from .errors import (
     ArityMismatch,
     IndexOutOfRange,
@@ -82,6 +82,9 @@ def synthesize_offers(source: Game, target: Game) -> SynthesisResult:
     The check hands over the star it verified, on the integer difference
     view built from the games' ``Game._scaled``: each amount is one int
     subtraction of star entries, and only the amounts become ``Fraction``s.
+    A player's balance along axis 0, what it receives less what it pays
+    besides e[p, 0, ·], is one ``core._sum``, and so is each e[p, 0, t]:
+    that balance less one star entry over the player's scale.
     """
     # star[j][k][v]: player j's difference at (0,…,0) with axis k set to v, times scales[j]
     verdict, scales, star = _check(source, target)
@@ -103,10 +106,10 @@ def synthesize_offers(source: Game, target: Game) -> SynthesisResult:
     for p in range(1, n):
         # at (0,…,0) with axis 0 set to t, player p receives every
         # e[k, p, 0] and pays e[p, 0, t] plus every other e[p, k, 0]
-        received = sum(e[k, p, 0] for k in range(n) if k != p)
-        paid = sum(e[p, k, 0] for k in range(1, n) if k != p)
+        received = [e[k, p, 0] for k in range(n) if k != p]
+        balance = _sum(received, [e[p, k, 0] for k in range(1, n) if k != p])
         for t, c in enumerate(star[p][0]):
-            e[p, 0, t] = received - paid - _fraction(c, scales[p])
+            e[p, 0, t] = _sum((balance,), (_fraction(c, scales[p]),))
 
     pinned = tuple(
         (f"{players[p]}->{players[q]}/{strategies[q][-1]}", Fraction(0))
@@ -147,8 +150,8 @@ def make_profile_dominant(
     The shortfalls are read off player k's slice table (``Game._slices``),
     one list of ints per strategy of k, entry i of each facing the same
     opposing profile: the gap is the largest entry of the elementwise max of
-    the other lists minus the designated list, and only that gap per player
-    becomes a ``Fraction``.
+    the other lists minus the designated list, and only the offer per
+    player, gap / scale + margin added on ints, becomes a ``Fraction``.
     """
     margin = as_rational(margin)
     if margin <= 0:
@@ -169,5 +172,8 @@ def make_profile_dominant(
         # worst shortfall: how much some alternative beats the designated
         # strategy by, across all opposing profiles
         gap = max(map(sub, map(max, zip(*others)), lists[designated]))
-        net[(k + 1) % n, k, designated] = max(Fraction(0), Fraction(gap, scales[k]) + margin)
+        # gap / scale + margin on ints; a player already dominant by the
+        # margin gets 0, which _canonical drops
+        num = gap * margin.denominator + margin.numerator * scales[k]
+        net[(k + 1) % n, k, designated] = _fraction(max(num, 0), scales[k] * margin.denominator)
     return _canonical(game.space, net)

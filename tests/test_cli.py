@@ -130,6 +130,36 @@ def test_parse_game_error_paths():
         assert f"unsupported schema version {version!r}" in str(info.value)
 
 
+# a frame whose names hold one fault; the location is formatted only then
+FRAME = '{"schema": 1, "players": %s, "strategies": %s, "payoffs": [[[0, 0]], [[0, 0]]]}'
+ROWS = '[["a", "b"], ["c"]]'
+SURROGATE = "string is not valid Unicode (lone surrogate)"
+
+
+@pytest.mark.parametrize(
+    "players, strategies, message",
+    [
+        ('["A", 3]', ROWS, "players[1]: expected a string, got int"),
+        ('[null, "B"]', ROWS, "players[0]: expected a string, got NoneType"),
+        ('["A", "\\ud800"]', ROWS, f"players[1]: {SURROGATE}"),
+        ('["A", "B"]', '[["a", ["b"]], ["c"]]', "strategies[0][1]: expected a string, got list"),
+        ('["A", "B"]', '[["a", "b"], [1.5]]', "strategies[1][0]: expected a string, got float"),
+        ('["A", "B"]', '[["a", "b"], ["\\udfff"]]', f"strategies[1][0]: {SURROGATE}"),
+    ],
+)
+def test_a_name_at_fault_keeps_its_location_and_message(players, strategies, message):
+    with pytest.raises(ParseError) as exc:
+        parse_game(FRAME % (players, strategies), source="doc")
+    assert str(exc.value) == f"doc: {message}"
+
+
+def test_an_offer_name_at_fault_keeps_its_location_and_message(m0):
+    doc = '{"schema": 1, "offers": [{"payer": "I", "payee": 2, "strategy": "C", "amount": "1"}]}'
+    with pytest.raises(ParseError) as exc:
+        parse_offers(doc, m0.space, source="doc")
+    assert str(exc.value) == "doc: offers[0].payee: expected a string, got int"
+
+
 def test_parse_offers_validates(m0):
     offers = parse_offers(OFFER_DOC, m0.space)
     assert len(offers) == 1 and offers.offers[0].amount == 2
@@ -525,8 +555,77 @@ def test_player_count_at_and_past_the_limit(files, capsys):
     past = files("past.json", padded_game_doc(_MAX_PLAYERS + 1))
     assert run(["synth", past, past]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "past.json: players: 65 players" in err
+    limit = f"past.json: players: {_MAX_PLAYERS + 1} players; at most {_MAX_PLAYERS} are allowed"
+    assert err.startswith("error: ") and limit in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def padded_frame_docs(two: int, one: int) -> tuple[str, str]:
+    """A game document of ``two`` players with two strategies and ``one``
+    with one, in that order, whose payoffs are small ints that vary by
+    profile and player, and the seed document of its star at (s0,...,s0),
+    which holds the game's own payoffs there."""
+    counts = [2] * two + [1] * one
+    n = len(counts)
+    # the base, then one flip per two-strategy axis: the flat strides
+    star = {0} | {1 << k for k in range(two)}
+
+    def nest(depth: int, flat: int, fill):
+        if depth == n:
+            return fill(flat)
+        stride = 1 << max(two - depth - 1, 0)
+        return [nest(depth + 1, flat + i * stride, fill) for i in range(counts[depth])]
+
+    def cell(flat: int) -> list:
+        return [(flat * 7 + k * 3) % 11 - 5 for k in range(n)]
+
+    frame = {
+        "schema": 1,
+        "players": [f"P{i}" for i in range(n)],
+        "strategies": [[f"s{j}" for j in range(c)] for c in counts],
+    }
+    game = dict(frame, payoffs=nest(0, 0, cell))
+    seed = dict(frame, payoffs=nest(0, 0, lambda f: cell(f) if f in star else None))
+    return json.dumps(game), json.dumps(seed)
+
+
+def test_worst_admitted_frame_is_served_within_deadline(files, capsys):
+    # 16,384 profiles leave room for 14 players of two strategies; the rest
+    # of the player limit is single-strategy padding, which multiplies the
+    # payoff values without adding a choice
+    two, one = 14, _MAX_PLAYERS - 14
+    game_text, seed_text = padded_frame_docs(two, one)
+    game, seed = files("game.json", game_text), files("seed.json", seed_text)
+    offer_set = files("offers.json", json.dumps({"schema": 1, "offers": [
+        {"payer": "P0", "payee": "P1", "strategy": "s0", "amount": "2"},
+        {"payer": f"P{_MAX_PLAYERS - 1}", "payee": "P3", "strategy": "s1", "amount": "1/3"},
+    ]}))
+    base = ",".join(["s0"] * _MAX_PLAYERS)
+    source = parse_game(game_text)
+    assert source.shape.size == _MAX_CELLS and len(source.players) == _MAX_PLAYERS
+    for argv in (["apply", game, offer_set], ["complete", game, seed, "--base", base], ["analyze", game]):
+        start = time.perf_counter()
+        assert run(argv) == 0
+        assert time.perf_counter() - start < 2, argv[0]
+        out = capsys.readouterr().out
+        if argv[0] == "complete":
+            # the seed is the game's own star, so completion gives the game back
+            assert parse_game(out) == source
+    # past the limit, the same frame is rejected before the payoff walk:
+    # a document without a payoffs array is reported for its players
+    past = json.loads(game_text)
+    past["players"].append("extra")
+    past["strategies"].append(["s0"])
+    del past["payoffs"]
+    path = files("past.json", json.dumps(past))
+    start = time.perf_counter()
+    assert run(["analyze", path]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert f"past.json: players: {_MAX_PLAYERS + 1} players; at most {_MAX_PLAYERS}" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    with pytest.raises(ParseError, match=rf"^doc: players: {_MAX_PLAYERS + 1} players"):
+        _parse_frame(past, "doc")
 
 
 def frame_doc(counts) -> dict:

@@ -26,6 +26,7 @@ from preplay import (
     nonnegative_decomposition,
     synthesize_offers,
 )
+from preplay.offers import _undo
 from conftest import cube_game, pd_game, random_offer_set
 
 
@@ -85,6 +86,30 @@ def reference_nonnegative_decomposition(offer_set):
             mirror = Offer(offer.payer, offer.payee, offer.payee_strategy, -offer.amount)
             out.extend(reference_invert_offer(mirror, space))
     return reference_canonicalize(OfferSet(space, tuple(out)))
+
+
+def per_offer_undo(space, net, table):
+    """The table of undoing offers built one net amount at a time, with
+    ``Fraction``'s operators: each amount d of (p, q, s) is added to every
+    (p, q, t) with t != s and to every (q, p, u)."""
+    counts = space.shape.strategy_counts
+    for (p, q, s), d in net.items():
+        keys = [(p, q, t) for t in range(counts[q]) if t != s]
+        keys += [(q, p, u) for u in range(counts[p])]
+        for key in keys:
+            table[key] = table[key] + d if key in table else d
+    return table
+
+
+def nonzero(table):
+    return {key: d for key, d in table.items() if d != 0}
+
+
+def assert_undo_matches_per_offer_reference(space, net, table=None):
+    table = table or {}
+    result = _undo(space, net, dict(table))
+    assert nonzero(result) == nonzero(per_offer_undo(space, net, dict(table)))
+    assert all(type(d) is Fraction for d in result.values())
 
 
 def assert_same_offer_set(result, reference):
@@ -213,3 +238,88 @@ def test_each_construction_builds_one_offer_set(monkeypatch):
         built.clear()
         call()
         assert len(built) == 1, name
+
+
+# ---------------------------------------------------------------------------
+# the inverse by block totals against the per-offer table
+
+
+def test_block_total_undo_matches_per_offer_table_on_seeded_sets():
+    rng = random.Random(419)
+    for _ in range(400):
+        offer_set = netting_case(rng)
+        space, net = offer_set.space, offer_set._table
+        assert_undo_matches_per_offer_reference(space, net)
+        # as nonnegative_decomposition calls it: the negative amounts,
+        # negated, undone into a table of the positive ones
+        positive = {key: d for key, d in net.items() if d > 0}
+        assert_undo_matches_per_offer_reference(
+            space, {key: -d for key, d in net.items() if d < 0}, positive
+        )
+        # into a table that already holds amounts on the same keys
+        assert_undo_matches_per_offer_reference(space, net, dict(net))
+
+
+def block_space(counts=(3, 4, 2)):
+    return StrategySpace(
+        tuple(f"P{i + 1}" for i in range(len(counts))),
+        tuple(tuple(f"s{j + 1}" for j in range(c)) for c in counts),
+    )
+
+
+def test_block_total_undo_with_several_amounts_on_one_payee_strategy():
+    # several offers on each of P2's strategies, netted into one amount per
+    # strategy, in a block whose reverse block is full too
+    space = block_space()
+    amounts = [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 7), Fraction(2), Fraction(-3, 4)]
+    offers = [Offer("P1", "P2", s, a) for s in ("s1", "s1", "s3") for a in amounts[:3]]
+    offers += [Offer("P1", "P2", "s4", a) for a in amounts]
+    offers += [Offer("P2", "P1", s, a) for s in ("s1", "s2", "s3", "s2") for a in amounts[2:]]
+    offer_set = OfferSet(space, tuple(offers))
+    assert len(offer_set._table) == 3 + 3
+    assert_undo_matches_per_offer_reference(space, offer_set._table)
+    assert_netting_matches_reference(offer_set)
+
+
+def test_block_total_undo_where_a_block_totals_zero():
+    space = block_space()
+    zero_total = {(0, 1, 0): Fraction(1, 2), (0, 1, 2): Fraction(-1, 2)}
+    # alone; with a reverse block; with a reverse block that totals 0 too;
+    # and with a block elsewhere
+    cases = [
+        zero_total,
+        {**zero_total, (1, 0, 1): Fraction(3)},
+        {**zero_total, (1, 0, 0): Fraction(2, 3), (1, 0, 2): Fraction(-2, 3)},
+        {**zero_total, (2, 0, 1): Fraction(5, 6)},
+    ]
+    for net in cases:
+        assert_undo_matches_per_offer_reference(space, net)
+        assert_undo_matches_per_offer_reference(space, net, {(0, 1, 1): Fraction(1, 2)})
+        names = space.players, space.strategies
+        offer_set = OfferSet(space, tuple(
+            Offer(names[0][p], names[0][q], names[1][q][t], d) for (p, q, t), d in net.items()
+        ))
+        assert_netting_matches_reference(offer_set)
+
+
+def test_block_total_undo_on_long_coprime_amounts():
+    # 300-digit denominators, one per amount, every two of them coprime but
+    # for a factor of their small difference
+    rng = random.Random(421)
+    space = block_space((4, 3, 3))
+    base, odd = 10**300, 1
+    offers = []
+    for p in range(3):
+        for q in range(3):
+            if p != q:
+                for s in space.strategies[q]:
+                    amount = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), base + odd)
+                    offers.append(Offer(space.players[p], space.players[q], s, amount))
+                    odd += 2
+    offer_set = OfferSet(space, tuple(offers))
+    net = offer_set._table
+    assert_undo_matches_per_offer_reference(space, net)
+    assert_undo_matches_per_offer_reference(
+        space, {key: -d for key, d in net.items() if d < 0}, {key: d for key, d in net.items() if d > 0}
+    )
+    assert_netting_matches_reference(offer_set)
