@@ -41,7 +41,6 @@ from operator import mul, ne, sub
 from typing import Optional, Sequence
 
 from .core import Game, GameShape, PayoffVector, Profile, StrategySpace, _total, format_profile
-from .errors import NameMismatch, ShapeMismatch
 
 __all__ = [
     "DiffTensor",
@@ -108,29 +107,17 @@ class EquivalenceVerdict:
         return f"NOT-EQUIVALENT: {self.violation.describe()}"
 
 
-def _require_same_frame(source: Game, target: Game) -> StrategySpace:
-    if source.shape != target.shape:
-        raise ShapeMismatch(
-            f"cannot compare shape {source.shape.strategy_counts} "
-            f"with shape {target.shape.strategy_counts}"
-        )
-    space = source.space
-    if space != target.space:
-        raise NameMismatch("games disagree on player or strategy names")
-    return space
-
-
 def diff_tensor(source: Game, target: Game) -> DiffTensor:
     """``target - source``, per profile and per player.
 
     Both games must share players, strategy names, and shape.
     """
-    space = _require_same_frame(source, target)
+    source.space._require(target.space)
     values = tuple(
         tuple(t - s for s, t in zip(s_cell, t_cell))
         for s_cell, t_cell in zip(source.payoffs, target.payoffs)
     )
-    return DiffTensor(space, values)
+    return DiffTensor(source.space, values)
 
 
 def check_equivalence(source: Game, target: Game) -> EquivalenceVerdict:
@@ -160,7 +147,8 @@ def _check(
     reachable tensor is determined by these values.  Both games must share
     players, strategy names, and shape.
     """
-    space = _require_same_frame(source, target)
+    space = source.space
+    space._require(target.space)
     shape = space.shape
     counts, strides, size = shape.strategy_counts, shape.strides, shape.size
     s_scales, s_columns = source._scaled

@@ -18,8 +18,8 @@ be too varied: each player's payoffs share one least common denominator,
 and those denominators together may take at most 65,536 bits.  A game
 may have at most 16 players and at most 16,384 profiles.  Seed documents
 reuse the same grammar with ``null`` for unspecified cells, and the same
-bounds.  An offer
-document is
+bounds on players and profiles; their denominators are not bounded.  An
+offer document is
 
     {"schema": 1, "offers": [{"payer": "I", "payee": "II",
                               "strategy": "C", "amount": "2"}]}
@@ -134,24 +134,17 @@ def _expect_string(node, source: str, location: str, *index: int) -> str:
     raise ParseError(source, location.format(*index), fault.format(type(node).__name__))
 
 
-class _Fault(Exception):
-    """A payoff or amount that is not what the grammar allows, carrying only
-    the message a ``ParseError`` shows; the caller, which knows where the
-    value sits, builds the ``ParseError``."""
-
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.message = message
-
-
 def _rational(node) -> Fraction:
-    """A rational as JSON gives it: an int or a string, never a bool or float."""
+    """A rational as JSON gives it: an int or a string, never a bool or float.
+
+    Raises ``ValueError`` with the message a ``ParseError`` shows; the caller,
+    which knows where the value sits, builds the ``ParseError``."""
     if type(node) is not int and type(node) is not str:
-        raise _Fault(f"expected an integer or a rational string, got {json.dumps(node)}")
+        raise ValueError(f"expected an integer or a rational string, got {json.dumps(node)}")
     try:
         return as_rational(node)
     except ValueError:
-        raise _Fault(f"not a rational: {json.dumps(node)}") from None
+        raise ValueError(f"not a rational: {json.dumps(node)}") from None
 
 
 def _check_schema(doc: dict, source: str) -> None:
@@ -237,8 +230,8 @@ def _read_payoffs(node, space: StrategySpace, source: str, nulls: bool = False) 
                     if r is None:
                         try:
                             r = memo[v] = _rational(v)
-                        except _Fault as exc:
-                            raise fault(exc.message, n, len(values)) from None
+                        except ValueError as exc:
+                            raise fault(str(exc), n, len(values)) from None
                     values.append(r)
                 append(tuple(values))
             elif cell is None and nulls:
@@ -333,8 +326,8 @@ def parse_offers(
         strategy = _expect_string(entry.get("strategy"), source, f"{location}.strategy")
         try:
             amount = _rational(entry.get("amount"))
-        except _Fault as fault:
-            raise ParseError(source, f"{location}.amount", fault.message) from None
+        except ValueError as exc:
+            raise ParseError(source, f"{location}.amount", str(exc)) from None
         if strict and amount < 0:
             raise ParseError(
                 source, f"{location}.amount", f"negative amount {amount} (strict mode)"

@@ -77,6 +77,8 @@ from .errors import (
     DuplicateOutcome,
     IndexOutOfRange,
     MissingOutcome,
+    NameMismatch,
+    ShapeMismatch,
     UnknownPlayer,
     UnknownStrategy,
 )
@@ -366,6 +368,17 @@ class StrategySpace:
                 raise DuplicateName(f"duplicate strategy name {dup!r} for player {player!r}")
         # shape construction enforces N >= 2 and every count >= 1
         object.__setattr__(self, "shape", GameShape(tuple(map(len, strategies))))
+
+    def _require(self, other: StrategySpace) -> None:
+        """Raise unless ``other`` is this frame: ``ShapeMismatch`` where the
+        strategy counts differ, ``NameMismatch`` where only names do."""
+        if self != other:
+            if self.shape != other.shape:
+                raise ShapeMismatch(
+                    f"cannot compare shape {self.shape.strategy_counts} "
+                    f"with shape {other.shape.strategy_counts}"
+                )
+            raise NameMismatch("games disagree on player or strategy names")
 
     def player_index(self, name: str) -> int:
         try:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .core import Game, StrategySpace, _add_separable, _fraction, _sum, _total, as_rational
-from .errors import NameMismatch, SelfOffer, ShapeMismatch
+from .errors import SelfOffer
 
 _Net = dict[tuple[int, int, int], Fraction]
 
@@ -104,7 +104,7 @@ def _canonical(space: StrategySpace, net: _Net) -> OfferSet:
     offers = (
         Offer(players[p], players[q], strategies[q][s], d)
         for (p, q, s), d in sorted(net.items())
-        if d != 0
+        if d.numerator
     )
     return OfferSet(space, tuple(offers))
 
@@ -162,13 +162,7 @@ def apply_offer(game: Game, offer: Offer) -> Game:
 def apply_offer_set(game: Game, offer_set: OfferSet) -> Game:
     """Transform a game by every offer in the set (order is immaterial), in
     one pass through the set's payment vectors per (payee, strategy)."""
-    if offer_set.space != game.space:
-        if offer_set.space.shape != game.shape:
-            raise ShapeMismatch(
-                f"offer set built for shape {offer_set.space.shape.strategy_counts} "
-                f"applied to shape {game.shape.strategy_counts}"
-            )
-        raise NameMismatch("offer set and game disagree on player or strategy names")
+    game.space._require(offer_set.space)
     zero = (Fraction(0),) * len(game.players)
     steps = [[list(zero) for _ in row] for row in game.strategies]
     # the table holds one amount per (payer, payee, strategy): a payer's

@@ -32,7 +32,7 @@ from fractions import Fraction
 from operator import sub
 from typing import Sequence
 
-from .characterize import _check
+from . import characterize
 from .core import Game, RationalLike, _fraction, _shown, _sum, as_rational
 from .errors import (
     ArityMismatch,
@@ -87,7 +87,7 @@ def synthesize_offers(source: Game, target: Game) -> SynthesisResult:
     that balance less one star entry over the player's scale.
     """
     # star[j][k][v]: player j's difference at (0,…,0) with axis k set to v, times scales[j]
-    verdict, scales, star = _check(source, target)
+    verdict, scales, star = characterize._check(source, target)
     if not verdict.equivalent:
         raise NotEquivalent(verdict)
 
@@ -131,8 +131,12 @@ def nonnegative_decomposition(offer_set: OfferSet) -> OfferSet:
     """
     space = offer_set.space
     net = offer_set._table
-    positive = {key: d for key, d in net.items() if d > 0}
-    return _canonical(space, _undo(space, {key: -d for key, d in net.items() if d < 0}, positive))
+    # signs read and amounts negated on the numerators: Fraction's operators are pure Python
+    positive = {key: d for key, d in net.items() if d.numerator > 0}
+    negative = {
+        key: _fraction(-d.numerator, d.denominator, 1) for key, d in net.items() if d.numerator < 0
+    }
+    return _canonical(space, _undo(space, negative, positive))
 
 
 def make_profile_dominant(

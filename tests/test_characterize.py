@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-import preplay.synth
+import preplay.characterize
 from preplay import (
     DiffTensor,
     EquivalenceVerdict,
     Game,
     NameMismatch,
     NotEquivalent,
+    OfferSet,
     ShapeMismatch,
     Violation,
     apply_offer_set,
@@ -79,6 +80,27 @@ def test_diff_tensor_frame_mismatch(m0, wide_source):
     renamed = Game(("X", "Y"), m0.strategies, m0.payoffs)
     with pytest.raises(NameMismatch):
         diff_tensor(m0, renamed)
+
+
+@pytest.mark.parametrize("mismatch", ["shape", "names"])
+def test_every_frame_check_raises_the_same_error(m0, wide_source, mismatch):
+    # check, synthesis, the difference tensor and apply compare frames alike
+    if mismatch == "shape":
+        other = wide_source
+        expected = (ShapeMismatch, "cannot compare shape (2, 2) with shape (4, 3)")
+    else:
+        other = Game(("X", "Y"), m0.strategies, m0.payoffs)
+        expected = (NameMismatch, "games disagree on player or strategy names")
+    calls = (
+        lambda: check_equivalence(m0, other),
+        lambda: synthesize_offers(m0, other),
+        lambda: diff_tensor(m0, other),
+        lambda: apply_offer_set(m0, OfferSet(other.space, ())),
+    )
+    for call in calls:
+        with pytest.raises((ShapeMismatch, NameMismatch)) as raised:
+            call()
+        assert (type(raised.value), str(raised.value)) == expected
 
 
 def test_verdict_trio(verdict_source, reachable_target):
@@ -245,7 +267,7 @@ def fraction_synthesis(source, target):
     ]
     reference = (fraction_check_diff(diff), scales, int_star)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(preplay.synth, "_check", lambda source, target: reference)
+        patch.setattr(preplay.characterize, "_check", lambda source, target: reference)
         return synthesize_offers(source, target)
 
 

@@ -288,6 +288,25 @@ def test_synth_unreachable_exits_1(files, capsys):
     assert err.startswith("NOT-EQUIVALENT: C2 at ")
 
 
+WIDER_DOC = M0_DOC.replace('["C", "D"]]', '["C", "D", "E"]]').replace(
+    '["4", "4"], ["0", "5"]]', '["4", "4"], ["0", "5"], ["0", "0"]]'
+).replace('["5", "0"], ["1", "1"]]', '["5", "0"], ["1", "1"], ["0", "0"]]')
+
+
+@pytest.mark.parametrize(
+    "target, line",
+    [
+        (WIDER_DOC, "error: cannot compare shape (2, 2) with shape (2, 3)\n"),
+        (M0_DOC.replace('"II"', '"III"'), "error: games disagree on player or strategy names\n"),
+    ],
+    ids=["shape", "names"],
+)
+@pytest.mark.parametrize("command", ["check", "synth"])
+def test_a_frame_mismatch_exits_2_with_one_line(files, capsys, command, target, line):
+    assert run([command, files("m0.json", M0_DOC), files("target.json", target)]) == 2
+    assert capsys.readouterr() == ("", line)
+
+
 def test_synth_nonnegative_flag(files, capsys, m0):
     # target needs a negative net offer unless decomposed
     negative = apply_offer_set(
@@ -1098,7 +1117,7 @@ SUBCOMMAND_MODULES = [
     (["synth", "game.json", "target.json"], 0, {"synth", "characterize", "offers"}),
     (["complete", "game.json", "seed.json"], 0, {"complete"}),
     (["invert", "game.json", "offers.json"], 0, {"offers"}),
-    (["dominate", "game.json", "--profile", "C,C"], 0, {"synth", "characterize", "offers"}),
+    (["dominate", "game.json", "--profile", "C,C"], 0, {"synth", "offers"}),
     (["analyze", "game.json"], 0, {"analyze"}),
     (["demo", "pd"], 0, {"offers", "analyze"}),
     # rejected at parse, so the check never runs

@@ -19,14 +19,16 @@ from preplay import (
     Seed,
     apply_offer_set,
     complete_from_seed,
+    invert_offer_set,
     make_profile_dominant,
+    nonnegative_decomposition,
     synthesize_offers,
 )
 from preplay.characterize import _check
 from preplay.cli import parse_game, parse_offers, serialize_game, serialize_offers
 from preplay.core import _add_separable, _fraction, _sum, _text
 from preplay.offers import Offer, OfferSet, _canonical
-from conftest import random_game
+from conftest import random_game, random_offer_set, shape_game
 
 
 def assert_lowest_terms(value):
@@ -199,6 +201,38 @@ def test_synthesis_matches_fraction_balances_on_long_coprime_denominators(counts
     assert apply_offer_set(game, result) == target
     for offer in result:
         assert_lowest_terms(offer.amount)
+
+
+# ---------------------------------------------------------------------------
+# nonnegative decomposition and inverse
+
+
+FRACTION_OPERATORS = (
+    "__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__neg__", "__bool__", "__add__", "__sub__"
+)
+
+
+def test_decomposition_and_inverse_run_no_fraction_operator(corpus):
+    rng = random.Random(28)
+    pairs = [(game, apply_offer_set(game, offers)) for game, offers in corpus]
+    for counts in ((20, 20), (3, 3, 3)):
+        game = shape_game(rng, counts)
+        pairs.append((game, apply_offer_set(game, random_offer_set(rng, game.space, 40))))
+    results = [synthesize_offers(game, target).offers for game, target in pairs]
+    # signs are read and negative amounts negated, on both sides of zero
+    assert any(o.amount < 0 for result in results for o in result)
+
+    def refuse(*args):
+        raise AssertionError("a Fraction operator ran")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in FRACTION_OPERATORS:
+            patch.setattr(Fraction, name, refuse)
+        outputs = [(nonnegative_decomposition(r), invert_offer_set(r)) for r in results]
+    for (game, target), (nonnegative, inverse) in zip(pairs, outputs):
+        assert all(o.amount > 0 for o in nonnegative)
+        assert apply_offer_set(game, nonnegative) == target
+        assert apply_offer_set(target, inverse) == game
 
 
 # ---------------------------------------------------------------------------
