@@ -23,14 +23,13 @@ number of cells.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import and_, ge, gt, lshift, not_, or_
-from typing import Iterator, Mapping, Optional
 
-from .core import Game, Profile, _total
+from .core import Game, Profile, _Record, _total
 
 __all__ = [
     "AnalysisReport",
@@ -88,7 +87,7 @@ def dominance(game: Game, player: str) -> frozenset[DominancePair]:
     return frozenset(pairs)
 
 
-def constant_sum(game: Game) -> Optional[Fraction]:
+def constant_sum(game: Game) -> Fraction | None:
     """The common outcome total, if every outcome shares one.  Each total is
     summed over its own profile's denominators (``_total``), so no player's
     common denominator is ever computed."""
@@ -158,7 +157,7 @@ def _at_least(column: tuple[int, ...], lo: int, hi: int) -> Iterator[int]:
     return chain(map(sets.__getitem__, islice(column, lo, hi)), later)
 
 
-def strictly_dominant_profile(game: Game) -> Optional[Profile]:
+def strictly_dominant_profile(game: Game) -> Profile | None:
     """The profile of per-player strictly dominant strategies, if every
     player has one (single-strategy players qualify vacuously)."""
     profile = []
@@ -172,13 +171,15 @@ def strictly_dominant_profile(game: Game) -> Optional[Profile]:
     return tuple(profile)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(_Record):
+    """What ``report`` finds in one game: each field is the result of the
+    function of its name, and ``dominance`` holds one entry per player."""
+
     pure_nash: frozenset[Profile]
     dominance: Mapping[str, frozenset[DominancePair]]
-    constant_sum: Optional[Fraction]
+    constant_sum: Fraction | None
     pareto_optimal: frozenset[Profile]
-    strictly_dominant_profile: Optional[Profile]
+    strictly_dominant_profile: Profile | None
 
 
 def report(game: Game) -> AnalysisReport:

@@ -34,13 +34,13 @@ failing equality themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress, count, repeat
 from operator import mul, ne, sub
-from typing import Optional, Sequence
 
-from .core import Game, GameShape, PayoffVector, Profile, StrategySpace, _total, format_profile
+from .core import Game, GameShape, PayoffVector, Profile, StrategySpace, _Record, _total
+from .core import format_profile
 
 __all__ = [
     "DiffTensor",
@@ -51,8 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiffTensor:
+class DiffTensor(_Record):
     """Per-player payoff differences, target minus source, one vector per
     profile in row-major order."""
 
@@ -70,8 +69,7 @@ class DiffTensor:
         return self.vector(profile)[player_index]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One falsified equality from a failed reachability check.
 
     For kind ``"C1"``, ``profiles`` is ``(p,)`` and the failing claim is
@@ -83,8 +81,8 @@ class Violation:
 
     kind: str
     profiles: tuple[Profile, ...]
-    player: Optional[str] = None
-    axis: Optional[int] = None
+    player: str | None = None
+    axis: int | None = None
 
     def describe(self) -> str:
         if self.kind == "C1":
@@ -96,10 +94,12 @@ class Violation:
         )
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(_Record):
+    """A reachability verdict: ``violation`` is the first falsified
+    equality where ``equivalent`` is false, and None where it is true."""
+
     equivalent: bool
-    violation: Optional[Violation]
+    violation: Violation | None
 
     def describe(self) -> str:
         if self.equivalent:

@@ -40,11 +40,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
-from typing import Optional, Sequence, Union
 
 # the other layers load lazily, when a command first calls into one of them
 from . import analyze, characterize, complete, offers, synth
@@ -81,7 +80,7 @@ _MAX_CELLS = 1 << 14
 # document parsing and serialization
 
 
-def _load_json(data: Union[str, bytes], source: str):
+def _load_json(data: str | bytes, source: str):
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -103,7 +102,7 @@ def _expect_object(node, source: str, location: str) -> dict:
     return node
 
 
-def _array_fault(node, length: Optional[int]) -> str:
+def _array_fault(node, length: int | None) -> str:
     """What is wrong with ``node`` where an array of ``length`` elements
     (of any length, where ``length`` is None) belongs."""
     if not isinstance(node, list):
@@ -111,7 +110,7 @@ def _array_fault(node, length: Optional[int]) -> str:
     return f"expected {length} elements, got {len(node)}"
 
 
-def _expect_list(node, source: str, location: str, length: Optional[int] = None) -> list:
+def _expect_list(node, source: str, location: str, length: int | None = None) -> list:
     if not isinstance(node, list) or length is not None and len(node) != length:
         raise ParseError(source, location, _array_fault(node, length))
     return node
@@ -154,7 +153,7 @@ def _check_schema(doc: dict, source: str) -> None:
         raise ParseError(source, "schema", f"unsupported schema version {version!r}")
 
 
-def _open_document(data: Union[str, bytes], source: str) -> dict:
+def _open_document(data: str | bytes, source: str) -> dict:
     """A document's JSON object, once its schema version is checked."""
     doc = _expect_object(_load_json(data, source), source, "document")
     _check_schema(doc, source)
@@ -243,7 +242,7 @@ def _read_payoffs(node, space: StrategySpace, source: str, nulls: bool = False) 
     return cells
 
 
-def parse_game(data: Union[str, bytes], *, source: str = "<game>") -> Game:
+def parse_game(data: str | bytes, *, source: str = "<game>") -> Game:
     """Parse a game document; raises ParseError naming the offending element."""
     doc = _open_document(data, source)
     space = _parse_frame(doc, source)
@@ -305,7 +304,7 @@ def serialize_game(game: Game) -> str:
 
 
 def parse_offers(
-    data: Union[str, bytes],
+    data: str | bytes,
     space: StrategySpace,
     *,
     source: str = "<offers>",
@@ -353,7 +352,7 @@ def serialize_offers(offer_set: offers.OfferSet) -> str:
 
 
 def parse_seed_assignments(
-    data: Union[str, bytes], game: Game, *, source: str = "<seed>"
+    data: str | bytes, game: Game, *, source: str = "<seed>"
 ) -> dict[Profile, tuple[Fraction, ...]]:
     """Parse a seed document: the game document grammar with ``null`` in
     every unspecified cell.  Players and strategies must match the game."""
@@ -449,7 +448,8 @@ def format_report(game: Game) -> str:
 
 def _read_text(path: str) -> bytes:
     # undecoded, so that _load_json reports bad UTF-8 as a parse error
-    return Path(path).read_bytes()
+    with open(path, "rb") as file:
+        return file.read()
 
 
 def _read_game(path: str) -> Game:
@@ -471,7 +471,8 @@ def _profile_option(game: Game, text: str, option: str) -> Profile:
 def _emit(args, text: str) -> None:
     """Write a command's result to ``-o``'s file, or else to stdout."""
     if getattr(args, "output", None):
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as file:
+            file.write(text)
     elif sys.stdout is None:
         raise OSError("standard output is closed")
     else:

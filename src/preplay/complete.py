@@ -20,11 +20,10 @@ only for the error message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from numbers import Real
 from operator import mul
-from typing import Mapping, Sequence
 
 from .core import (
     Game,
@@ -33,6 +32,7 @@ from .core import (
     RationalLike,
     _add_separable,
     _fraction,
+    _Record,
     _shown,
     _total,
     _vector,
@@ -45,18 +45,17 @@ from .errors import ArityMismatch, IncompleteSeed, SeedSumViolation
 __all__ = ["Seed", "complete_from_seed", "two_person_seed"]
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(_Record):
     """Target payoff vectors for every profile on the star of ``base_profile``."""
 
     base_profile: Profile
     assignments: Mapping[Profile, PayoffVector]
 
     def __post_init__(self):
-        object.__setattr__(self, "base_profile", tuple(self.base_profile))
+        self.__dict__["base_profile"] = tuple(self.base_profile)
         memo: dict = {}
         fixed = {tuple(p): _vector(vector, memo) for p, vector in dict(self.assignments).items()}
-        object.__setattr__(self, "assignments", fixed)
+        self.__dict__["assignments"] = fixed
 
 
 def complete_from_seed(source: Game, seed: Seed) -> Game:

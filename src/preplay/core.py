@@ -56,6 +56,14 @@ validating them again.  A frame's facts are set once, when it is built:
 ``Game`` keeps its space and that space's shape, so ``.space`` and
 ``.shape`` are plain attributes.
 
+The package's public types are frozen records (``_Record``): they behave
+as frozen dataclasses do, in construction, equality, hashing, ``repr``,
+pickling and immutability, but are plain classes, so the package never
+imports ``dataclasses`` (which brings ``inspect``, ``ast``, ``dis`` and
+``tokenize``) nor runs its generated code at a CLI start.  Nor does it
+import ``typing`` or ``pathlib``: annotations name ``collections.abc``
+types and ``X | None``.
+
 Profiles are tuples of 0-based strategy indices, one per player, in player
 order.  User-facing messages render indices 1-based.
 """
@@ -64,12 +72,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import KW_ONLY, InitVar, dataclass
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from fractions import Fraction
 from itertools import product, repeat
-from operator import mul
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from operator import attrgetter, mul
 
 from .errors import (
     ArityMismatch,
@@ -95,7 +102,7 @@ __all__ = [
 ]
 
 Rational = Fraction
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 Profile = tuple[int, ...]
 PayoffVector = tuple[Fraction, ...]
 
@@ -122,7 +129,7 @@ def _fraction(n: int, d: int, g: int = 0) -> Fraction:
     return value
 
 
-def _lcm(values: list[int], lo: int, hi: int, room: float) -> Optional[int]:
+def _lcm(values: list[int], lo: int, hi: int, room: float) -> int | None:
     """The lcm of ``values[lo:hi]`` as a balanced tree, built depth first by
     halving, or None as soon as one partial lcm takes more than ``room``
     bits.  Both sides of each lcm stay about equally long, and partial lcms
@@ -137,7 +144,7 @@ def _lcm(values: list[int], lo: int, hi: int, room: float) -> Optional[int]:
     return lcm if lcm and lcm.bit_length() <= room else None
 
 
-def _scales(cells: Sequence[PayoffVector], bits: Optional[int] = None) -> Optional[tuple[int, ...]]:
+def _scales(cells: Sequence[PayoffVector], bits: int | None = None) -> tuple[int, ...] | None:
     """Each player's scale: the lcm of that player's payoff denominators in
     ``cells``, one payoff vector per profile, built as ``_lcm``'s tree.
 
@@ -257,15 +264,73 @@ def format_profile(profile: Profile) -> str:
     return "(" + ",".join(str(i + 1) for i in profile) + ")"
 
 
-@dataclass(frozen=True)
-class GameShape:
+class _Record:
+    """A frozen record: what a frozen dataclass gives the package's public
+    types, without importing ``dataclasses``, whose import and generated
+    code cost a fresh interpreter several milliseconds.
+
+    A subclass's fields are its own annotations, in order, and a class
+    attribute named after a field is that field's default.  Construction
+    takes the fields by position or keyword, raises ``TypeError`` on a
+    missing or unexpected one, writes them into ``__dict__`` and then runs
+    ``__post_init__``.  ``==`` compares the fields in order, and only
+    between records of one class; ``hash`` is that of the fields' tuple, so
+    a record holding a dict is unhashable; ``repr`` names each field.
+    Assignment and deletion raise ``AttributeError``, while pickle and copy
+    restore ``__dict__`` as they find it, a cached view included.  A hot
+    subclass defines its own ``__init__``, which writes ``__dict__`` the
+    same way.
+    """
+
+    def __init_subclass__(cls) -> None:
+        # a subclass that annotates nothing keeps its base's fields
+        if "__annotations__" in cls.__dict__:
+            cls._fields = fields = tuple(cls.__annotations__)
+            get = attrgetter(*fields)
+            # the fields' tuple even for one field, so hashes agree with a dataclass's
+            cls._key = get if len(fields) > 1 else staticmethod(lambda record: (get(record),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls, fields = type(self), self._fields
+        if kwargs or len(args) != len(fields):
+            # the defaults, then the arguments, which must name each field at most once
+            given = dict(zip(fields, args), **kwargs)
+            values = {name: getattr(cls, name) for name in fields if hasattr(cls, name)} | given
+            if len(given) < len(args) + len(kwargs) or values.keys() != set(fields):
+                raise TypeError(f"{cls.__qualname__}() takes the arguments ({', '.join(fields)})")
+            args = [values[name] for name in fields]
+        # one dict update, not one store per field: on CPython 3.11 an
+        # instance dict filled key by key makes every later read slower
+        self.__dict__.update(dict(zip(fields, args)))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check and normalise the fields just written; nothing here."""
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class GameShape(_Record):
     """The strategy-count vector of a game: one count per player."""
 
     strategy_counts: tuple[int, ...]
 
     def __post_init__(self):
         counts = tuple(self.strategy_counts)
-        object.__setattr__(self, "strategy_counts", counts)
+        self.__dict__["strategy_counts"] = counts
         if len(counts) < 2:
             raise ArityMismatch(f"a game needs at least 2 players, got {len(counts)}")
         for k, count in enumerate(counts):
@@ -340,8 +405,7 @@ class GameShape:
                     yield base[:k] + (v,) + base[k + 1 :]
 
 
-@dataclass(frozen=True)
-class StrategySpace:
+class StrategySpace(_Record):
     """Named players with named strategies; the frame games live in.
 
     ``shape``, the frame's ``GameShape``, is built with the space.
@@ -353,8 +417,7 @@ class StrategySpace:
     def __post_init__(self):
         players = tuple(str(p) for p in self.players)
         strategies = tuple(tuple(str(s) for s in row) for row in self.strategies)
-        object.__setattr__(self, "players", players)
-        object.__setattr__(self, "strategies", strategies)
+        self.__dict__.update(players=players, strategies=strategies)
         if len(strategies) != len(players):
             raise ArityMismatch(
                 f"{len(players)} players but {len(strategies)} strategy lists"
@@ -367,7 +430,7 @@ class StrategySpace:
                 dup = next(s for s in row if row.count(s) > 1)
                 raise DuplicateName(f"duplicate strategy name {dup!r} for player {player!r}")
         # shape construction enforces N >= 2 and every count >= 1
-        object.__setattr__(self, "shape", GameShape(tuple(map(len, strategies))))
+        self.__dict__["shape"] = GameShape(tuple(map(len, strategies)))
 
     def _require(self, other: StrategySpace) -> None:
         """Raise unless ``other`` is this frame: ``ShapeMismatch`` where the
@@ -419,8 +482,7 @@ class StrategySpace:
         return "(" + ",".join(self.profile_names(profile)) + ")"
 
 
-@dataclass(frozen=True)
-class Game:
+class Game(_Record):
     """A finite normal form game with exact payoffs.
 
     ``payoffs`` holds one payoff vector per profile in row-major order
@@ -442,23 +504,24 @@ class Game:
     players: tuple[str, ...]
     strategies: tuple[tuple[str, ...], ...]
     payoffs: tuple[PayoffVector, ...]
-    _: KW_ONLY
-    # a StrategySpace a caller inside the package has already validated,
-    # handed over with payoffs already checked against it: a tuple, one tuple
-    # of exact Fractions per profile.  Both are taken as given only if the
-    # space names exactly the players and strategies given
-    _space: InitVar[Optional[StrategySpace]] = None
-    # the payoffs' scales (``_scales(payoffs)``) a caller inside the package
-    # has already computed; ``_scaled`` takes them over instead of computing
-    # them again
-    _known_scales: InitVar[Optional[tuple[int, ...]]] = None
 
-    def __post_init__(self, space: Optional[StrategySpace], _known_scales):
+    def __init__(self, players, strategies, payoffs, *, _space=None, _known_scales=None) -> None:
+        # _space: a StrategySpace a caller inside the package has already
+        # validated, handed over with payoffs already checked against it: a
+        # tuple, one tuple of exact Fractions per profile.  Both are taken as
+        # given only if the space names exactly the players and strategies
+        # given.  _known_scales: the payoffs' scales (``_scales(payoffs)``) a
+        # caller inside the package has already computed; ``_scaled`` takes
+        # them over instead of computing them again
+        self.__dict__.update(players=players, strategies=strategies, payoffs=payoffs)
+        self.__post_init__(_space, _known_scales)
+
+    def __post_init__(self, space: StrategySpace | None, _known_scales):
         if space is None or (space.players, space.strategies) != (self.players, self.strategies):
             space = StrategySpace(tuple(self.players), tuple(tuple(r) for r in self.strategies))
             memo: dict = {}
             cells = tuple([_vector(cell, memo) for cell in self.payoffs])
-            object.__setattr__(self, "payoffs", cells)
+            self.__dict__.update(players=space.players, strategies=space.strategies, payoffs=cells)
             size = space.shape.size
             if len(cells) < size:
                 raise MissingOutcome(f"{size} profiles but only {len(cells)} payoff vectors")
@@ -470,12 +533,9 @@ class Game:
                     raise ArityMismatch(
                         f"payoff vector of length {len(cell)} in a {n}-player game"
                     )
-        object.__setattr__(self, "players", space.players)
-        object.__setattr__(self, "strategies", space.strategies)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "shape", space.shape)
+        self.__dict__.update(space=space, shape=space.shape)
         if _known_scales is not None:
-            object.__setattr__(self, "_known_scales", _known_scales)
+            self.__dict__["_known_scales"] = _known_scales
 
     @cached_property
     def _scaled(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -559,17 +619,18 @@ def _add_separable(
 
     Each player's column is expanded one axis at a time in row-major order
     as unreduced int pairs ``(a, b)``, so a cell's ``b`` is the product of
-    only its own n + 1 step denominators.  Each moved payoff is one
-    ``_fraction`` built from its pair and the old payoff; a payoff whose pair
-    adds 0 is handed back as it is, the source's own object.  The game's
-    integer view ``_scaled`` is never read.
+    only the origin's denominator and its own nonzero steps': a zero step
+    entry, as most of a dominate set's are, hands a pair on as it is.  Each
+    moved payoff is one ``_fraction`` built from its pair and the old
+    payoff; a payoff whose pair adds 0 is handed back as it is, the source's
+    own object.  The game's integer view ``_scaled`` is never read.
     """
     columns = []
     for k, column in enumerate(zip(*game.payoffs)):
         pairs = [(origin[k]._numerator, origin[k]._denominator)]
         for axis in steps:
             reads = [(s[k]._numerator, s[k]._denominator) for s in axis]
-            pairs = [(a * sd + sn * b, b * sd) for a, b in pairs for sn, sd in reads]
+            pairs = [(a * d + n * b, b * d) if n else (a, b) for a, b in pairs for n, d in reads]
         columns.append(
             [
                 _fraction(v._numerator * b + a * v._denominator, v._denominator * b) if a else v
@@ -581,11 +642,9 @@ def _add_separable(
 
 def make_game(
     players: Sequence[str],
-    strategies: Union[Sequence[Sequence[str]], Mapping[str, Sequence[str]]],
-    payoff_entries: Union[
-        Mapping[tuple[str, ...], Sequence[RationalLike]],
-        Iterable[tuple[Sequence[str], Sequence[RationalLike]]],
-    ],
+    strategies: Sequence[Sequence[str]] | Mapping[str, Sequence[str]],
+    payoff_entries: Mapping[tuple[str, ...], Sequence[RationalLike]]
+    | Iterable[tuple[Sequence[str], Sequence[RationalLike]]],
 ) -> Game:
     """Build a game from named payoff entries.
 

@@ -27,11 +27,10 @@ strategy.  A repeated key is netted through ``core._sum`` as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterator
 
-from .core import Game, StrategySpace, _add_separable, _fraction, _sum, _total, as_rational
+from .core import Game, StrategySpace, _add_separable, _fraction, _Record, _sum, _total, as_rational
 from .errors import SelfOffer
 
 _Net = dict[tuple[int, int, int], Fraction]
@@ -47,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Offer:
+class Offer(_Record):
     """payer pays payee ``amount`` whenever payee plays ``payee_strategy``.
 
     Amounts may be negative inside computations (a negative offer is the
@@ -60,17 +58,17 @@ class Offer:
     payee_strategy: str
     amount: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "amount", as_rational(self.amount))
-        if self.payer == self.payee:
-            raise SelfOffer(f"player {self.payer!r} cannot make an offer to itself")
+    def __init__(self, payer: str, payee: str, payee_strategy: str, amount: Fraction) -> None:
+        amount = as_rational(amount)
+        if payer == payee:
+            raise SelfOffer(f"player {payer!r} cannot make an offer to itself")
+        self.__dict__.update(payer=payer, payee=payee, payee_strategy=payee_strategy, amount=amount)
 
     def describe(self) -> str:
         return f"{self.payer} pays {self.payee} {self.amount} if {self.payee} plays {self.payee_strategy}"
 
 
-@dataclass(frozen=True)
-class OfferSet:
+class OfferSet(_Record):
     """A finite multiset of offers over one strategy space.
 
     The space is carried along because ordering, inversion and serialization
@@ -82,13 +80,16 @@ class OfferSet:
     space: StrategySpace
     offers: tuple[Offer, ...]
 
+    def __init__(self, space: StrategySpace, offers: Iterable[Offer]) -> None:
+        self.__dict__.update(space=space, offers=tuple(offers))
+        self.__post_init__()
+
     def __post_init__(self):
-        object.__setattr__(self, "offers", tuple(self.offers))
         table: _Net = {}
         for offer in self.offers:
             key = self.space._offer_key(offer.payer, offer.payee, offer.payee_strategy)
             table[key] = _sum((table[key], offer.amount)) if key in table else offer.amount
-        object.__setattr__(self, "_table", table)
+        self.__dict__["_table"] = table
 
     def __iter__(self) -> Iterator[Offer]:
         return iter(self.offers)

@@ -27,13 +27,12 @@ Three constructions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import sub
-from typing import Sequence
 
 from . import characterize
-from .core import Game, RationalLike, _fraction, _shown, _sum, as_rational
+from .core import Game, RationalLike, _fraction, _Record, _shown, _sum, as_rational
 from .errors import (
     ArityMismatch,
     IndexOutOfRange,
@@ -51,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
+class SynthesisResult(_Record):
     """A canonical offer set realizing the requested target, plus the free
     variables of the underdetermined system that were pinned to zero.
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import pickle
 import random
@@ -616,6 +615,6 @@ def test_offer_set_table_leaves_equality_hash_repr_and_pickle_alone():
     assert apply_offer_set(game, copy) == apply_offer_set(game, offers)
     assert canonicalize(copy) == canonicalize(offers)
     one = Offer(game.players[0], game.players[1], game.strategies[1][0], 5)
-    replaced = dataclasses.replace(offers, offers=(one,))
+    replaced = OfferSet(offers.space, (one,))
     assert replaced._table == {(0, 1, 0): 5}
     assert apply_offer_set(game, replaced) == apply_offer_set(game, OfferSet(game.space, (one,)))

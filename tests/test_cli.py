@@ -492,6 +492,19 @@ def test_missing_file_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_path_that_cannot_be_opened_is_named_as_given(files, capsys, monkeypatch, tmp_path):
+    # files are opened with open(), which names a path as the command line
+    # gives it, where pathlib would have written "./a.json" as "a.json"
+    monkeypatch.chdir(tmp_path)
+    for path in ("does-not-exist.json", "./does-not-exist.json"):
+        assert run(["analyze", path]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+    game, offers = files("m0.json", M0_DOC), files("o.json", OFFER_DOC)
+    out = "./missing/out.json"
+    assert run(["apply", game, offers, "-o", out]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+
+
 @pytest.mark.parametrize(
     "text, where",
     [

@@ -184,6 +184,36 @@ def test_kernel_hands_back_the_payoffs_dominate_offers_do_not_move(monkeypatch):
         assert all(v is w for v, w in zip(old, (v for cell in unmoved.payoffs for v in cell)))
 
 
+def test_zero_steps_between_nonzero_ones_leave_their_payoffs_unmoved(monkeypatch):
+    # two dominate sets together pay each player on its first and last
+    # strategies and never on the middle ones, so every axis's step has zero
+    # entries between nonzero ones, which the kernel passes over
+    rng = random.Random(149)
+    for counts in ((3, 3, 3), (4, 3, 5), (3, 4)):
+        game = shape_game(rng, counts)
+        first = make_profile_dominant(game, (0,) * len(counts), 1)
+        last = make_profile_dominant(game, tuple(c - 1 for c in counts), 1)
+        offer_set = OfferSet(game.space, first.offers + last.offers)
+        space = game.space
+        paid = {
+            (space.player_index(o.payee), space.strategy_index(o.payee, o.payee_strategy))
+            for o in offer_set
+        }
+        assert paid == {(k, s) for k, c in enumerate(counts) for s in (0, c - 1)}
+        assert_kernel_matches(monkeypatch, rng, game, offer_set)
+        applied = apply_offer_set(game, offer_set)
+        unmoved = 0
+        for profile, new, old in zip(game.shape.profiles(), applied.payoffs, game.payoffs):
+            for k in range(len(counts)):
+                # k is paid where k plays an end strategy, and pays where the
+                # player k pays plays one; elsewhere every step k takes is zero
+                payee = (k - 1) % len(counts)
+                if 0 < profile[k] < counts[k] - 1 and 0 < profile[payee] < counts[payee] - 1:
+                    assert new[k] is old[k]
+                    unmoved += 1
+        assert unmoved > 0
+
+
 def test_amounts_a_payee_receives_that_net_to_zero_leave_its_payoffs_unmoved(monkeypatch):
     # the payee's entry of a step is minus the total of its payers' entries,
     # on int pairs over the product of their denominators: the net amounts
