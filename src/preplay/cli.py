@@ -32,7 +32,9 @@ has more digits than ``sys.get_int_max_str_digits()`` allows (4,300 by
 default).  That limit stays as it is, since it keeps int-to-str conversion
 of hostile numbers from taking quadratic time.  A seed sum or margin message
 names such a number by its length in bits (``core._shown``), so those
-failures exit 1 whatever the number.
+failures exit 1 whatever the number.  An error is always one line on
+stderr: a line break in a path, an option or a name is written as its
+Python escape (``\\n``, ``\\r``, ``\\u2028``, ...).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from json.encoder import encode_basestring_ascii
 
 # the other layers load lazily, when a command first calls into one of them
 from . import analyze, characterize, complete, offers, synth
-from .core import Game, Profile, StrategySpace, _scales, _text, as_rational, make_game
+from .core import Game, Profile, StrategySpace, _scales, _text, as_rational
 from .errors import NonpositiveMargin, NotEquivalent, ParseError, PreplayError, SeedSumViolation
 
 SCHEMA_VERSION = 1
@@ -74,6 +76,9 @@ _MAX_PLAYERS = 16
 # strategies, against 0.5 s on 256 x 256 and 14 s on 16 players of two
 # (2-vCPU VM, Python 3.11).
 _MAX_CELLS = 1 << 14
+
+# Each character ``str.splitlines`` splits on, mapped to its Python escape.
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +461,12 @@ def _read_game(path: str) -> Game:
     return parse_game(_read_text(path), source=path)
 
 
-def _read_offers(path: str, space: StrategySpace, strict: bool) -> offers.OfferSet:
-    return parse_offers(_read_text(path), space, source=path, strict=strict)
+def _read_offers(args) -> tuple[Game, offers.OfferSet]:
+    """The game at ``args.game`` and the offer document at ``args.offers``
+    read against it."""
+    game = _read_game(args.game)
+    text = _read_text(args.offers)
+    return game, parse_offers(text, game.space, source=args.offers, strict=args.strict)
 
 
 def _profile_option(game: Game, text: str, option: str) -> Profile:
@@ -468,88 +477,63 @@ def _profile_option(game: Game, text: str, option: str) -> Profile:
         raise ParseError("command line", option, str(exc)) from None
 
 
-def _emit(args, text: str) -> None:
-    """Write a command's result to ``-o``'s file, or else to stdout."""
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as file:
-            file.write(text)
-    elif sys.stdout is None:
-        raise OSError("standard output is closed")
-    else:
-        sys.stdout.write(text)
+# Each command returns its result's text and its exit code, and ``run``
+# writes them.  A command reads all of its documents before it reads an
+# attribute of a lazy module, so a document that is rejected runs none.
 
 
-def _cmd_apply(args) -> int:
-    game = _read_game(args.game)
-    offer_set = _read_offers(args.offers, game.space, args.strict)
-    _emit(args, serialize_game(offers.apply_offer_set(game, offer_set)))
-    return 0
+def _cmd_apply(args) -> tuple[str, int]:
+    game, offer_set = _read_offers(args)
+    return serialize_game(offers.apply_offer_set(game, offer_set)), 0
 
 
-def _cmd_check(args) -> int:
-    source = _read_game(args.game)
-    target = _read_game(args.target)
+def _cmd_check(args) -> tuple[str, int]:
+    source, target = _read_game(args.game), _read_game(args.target)
     verdict = characterize.check_equivalence(source, target)
-    _emit(args, verdict.describe() + "\n")
-    return 0 if verdict.equivalent else 1
+    return verdict.describe() + "\n", 0 if verdict.equivalent else 1
 
 
-def _cmd_synth(args) -> int:
-    source = _read_game(args.game)
-    target = _read_game(args.target)
+def _cmd_synth(args) -> tuple[str, int]:
+    source, target = _read_game(args.game), _read_game(args.target)
     offer_set = synth.synthesize_offers(source, target).offers
     if args.nonnegative:
         offer_set = synth.nonnegative_decomposition(offer_set)
-    _emit(args, serialize_offers(offer_set))
-    return 0
+    return serialize_offers(offer_set), 0
 
 
-def _cmd_complete(args) -> int:
+def _cmd_complete(args) -> tuple[str, int]:
     game = _read_game(args.game)
     assignments = parse_seed_assignments(_read_text(args.seed), game, source=args.seed)
     if args.base is not None:
         base = _profile_option(game, args.base, "--base")
     else:
         base = (0,) * game.shape.player_count
-    completed = complete.complete_from_seed(game, complete.Seed(base, assignments))
-    _emit(args, serialize_game(completed))
-    return 0
+    seed = complete.Seed(base, assignments)
+    return serialize_game(complete.complete_from_seed(game, seed)), 0
 
 
-def _cmd_invert(args) -> int:
-    game = _read_game(args.game)
-    offer_set = _read_offers(args.offers, game.space, args.strict)
-    _emit(args, serialize_offers(offers.invert_offer_set(offer_set)))
-    return 0
+def _cmd_invert(args) -> tuple[str, int]:
+    offer_set = _read_offers(args)[1]
+    return serialize_offers(offers.invert_offer_set(offer_set)), 0
 
 
-def _cmd_dominate(args) -> int:
+def _cmd_dominate(args) -> tuple[str, int]:
     game = _read_game(args.game)
     profile = _profile_option(game, args.profile, "--profile")
     try:
         margin = as_rational(args.margin)
     except ValueError:
         raise ParseError("command line", "--margin", f"not a rational: {args.margin!r}") from None
-    _emit(args, serialize_offers(synth.make_profile_dominant(game, profile, margin)))
-    return 0
+    return serialize_offers(synth.make_profile_dominant(game, profile, margin)), 0
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[str, int]:
     game = _read_game(args.game)
-    _emit(args, json.dumps(_report(game), indent=2) + "\n" if args.json else format_report(game))
-    return 0
+    return json.dumps(_report(game), indent=2) + "\n" if args.json else format_report(game), 0
 
 
-_PD_PAYOFFS = {
-    ("C", "C"): ("4", "4"),
-    ("C", "D"): ("0", "5"),
-    ("D", "C"): ("5", "0"),
-    ("D", "D"): ("1", "1"),
-}
-
-
-def _cmd_demo(args) -> int:
-    game = make_game(("I", "II"), (("C", "D"), ("C", "D")), _PD_PAYOFFS)
+def _cmd_demo(args) -> tuple[str, int]:
+    game = Game(("I", "II"), (("C", "D"), ("C", "D")), ((4, 4), (0, 5), (5, 0), (1, 1)))
     steps = [
         ("M0 (the Prisoner's Dilemma)", None),
         ("M1 = M0 after the offer", offers.Offer("I", "II", "C", Fraction(2))),
@@ -564,8 +548,7 @@ def _cmd_demo(args) -> int:
         out.append(format_matrix(game))
         out.append(f"pure Nash equilibria: {_profiles_text(_named(game, analyze.pure_nash(game)))}")
         out.append("")
-    _emit(args, "\n".join(out))
-    return 0
+    return "\n".join(out), 0
 
 
 # ---------------------------------------------------------------------------
@@ -637,25 +620,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Run one command: its result goes to ``-o``'s file or to stdout, and
+    an error to stderr as one line."""
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        text, code = args.func(args)
+        if getattr(args, "output", None):
+            with open(args.output, "w", encoding="utf-8") as file:
+                file.write(text)
+        elif sys.stdout is None:
+            raise OSError("standard output is closed")
+        else:
+            sys.stdout.write(text)
+        return code
     except (SeedSumViolation, NonpositiveMargin) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message, code = f"error: {exc}", 1
     except NotEquivalent as exc:
-        print(exc.verdict.describe(), file=sys.stderr)
-        return 1
+        message, code = exc.verdict.describe(), 1
     except (PreplayError, OSError) as exc:
-        message = str(exc)
+        message, code = f"error: {exc}", 2
     except ValueError as exc:
         # str() of an int past the int-to-str digit limit, in an output or
         # in a message; any other ValueError is a fault of the program
         if "integer string conversion" not in str(exc):
             raise
-        message = f"result: a number to print has more than {sys.get_int_max_str_digits()} digits"
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+        digits = sys.get_int_max_str_digits()
+        message, code = f"error: result: a number to print has more than {digits} digits", 2
+    # a path, an option or a name may hold a line break; the message stays one line
+    print(message.translate(_LINE_BREAKS), file=sys.stderr)
+    return code
 
 
 def main() -> None:

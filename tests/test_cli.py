@@ -476,6 +476,82 @@ def test_closed_stdout_does_not_stop_an_output_file(files, capsys, monkeypatch, 
     assert parse_game(out.read_text()) == m1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "m0.json", "o.json"],
+        ["synth", "m0.json", "m2.json"],
+        ["complete", "m0.json", "seed.json"],
+        ["invert", "m0.json", "o.json"],
+        ["dominate", "m0.json", "--profile", "C,C"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_output_file_holds_what_stdout_would(files, capsys, tmp_path, argv):
+    docs = {"m0.json": M0_DOC, "m2.json": M2_DOC, "o.json": OFFER_DOC, "seed.json": SEED_DOC}
+    paths = {name: files(name, text) for name, text in docs.items()}
+    argv = [paths.get(arg, arg) for arg in argv]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "result.json"
+    assert run([*argv, "-o", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == printed.encode("utf-8")
+
+
+# each as the command line or a document gives it, and as stderr writes it
+LINE_BREAKS = [("\n", "\\n"), ("\r\n", "\\r\\n"), ("\u2028", "\\u2028")]
+
+
+@pytest.mark.parametrize("brk, escaped", LINE_BREAKS, ids=["LF", "CRLF", "LS"])
+def test_a_line_break_in_a_path_is_escaped(files, capsys, brk, escaped):
+    path = files(f"bad{brk}name.json", '{"schema": 2}')
+    assert run(["analyze", path]) == 2
+    shown = path.replace(brk, escaped)
+    assert capsys.readouterr().err == f"error: {shown}: schema: unsupported schema version 2\n"
+
+
+@pytest.mark.parametrize("brk, escaped", LINE_BREAKS, ids=["LF", "CRLF", "LS"])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["dominate", "m0.json", "--profile"], "--profile"),
+        (["complete", "m0.json", "seed.json", "--base"], "--base"),
+    ],
+    ids=["dominate", "complete"],
+)
+def test_a_line_break_in_a_profile_option_is_escaped(files, capsys, argv, option, brk, escaped):
+    paths = {"m0.json": files("m0.json", M0_DOC), "seed.json": files("seed.json", SEED_DOC)}
+    assert run([*(paths.get(arg, arg) for arg in argv), f"C{brk}D"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: command line: {option}: profile (C{escaped}D) has 1 entries for 2 players\n"
+    )
+
+
+@pytest.mark.parametrize("brk, escaped", LINE_BREAKS, ids=["LF", "CRLF", "LS"])
+def test_a_line_break_in_a_strategy_name_is_escaped(files, capsys, brk, escaped):
+    name = json.dumps(f"C{brk}X")
+    game = M0_DOC.replace('[["C", "D"], ["C", "D"]]', f'[[{name}, "D"], ["C", "D"]]')
+    # the (C,C) cell's total is 13 where the game's is 8
+    seed = game.replace('["4", "4"]', '["4", "9"]').replace('["1", "1"]', "null")
+    assert run(["complete", files("game.json", game), files("seed.json", seed)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: seed at (C{escaped}X,C) has payoff total 13; offers preserve the source total 8\n"
+    )
+
+
+def test_every_character_that_splits_a_line_is_escaped(files, capsys):
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    breaks = "".join(line[-1] for line in everything.splitlines(keepends=True)[:-1])
+    assert "\n" in breaks and "\u2028" in breaks
+    path = files(f"bad{breaks}name.json", '{"schema": 2}')
+    assert run(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    shown = path.replace(breaks, repr(breaks)[1:-1])
+    assert err == f"error: {shown}: schema: unsupported schema version 2\n"
+
+
 def test_a_value_error_other_than_the_digit_limit_propagates(monkeypatch):
     # only the int-to-str digit limit is bad input; any other ValueError is
     # a fault of the program and keeps its traceback
@@ -1135,6 +1211,12 @@ SUBCOMMAND_MODULES = [
     (["demo", "pd"], 0, {"offers", "analyze"}),
     # rejected at parse, so the check never runs
     (["check", "hostile.json", "target.json"], 2, set()),
+    (["apply", "hostile.json", "offers.json"], 2, set()),
+    (["synth", "hostile.json", "target.json"], 2, set()),
+    (["complete", "hostile.json", "seed.json"], 2, set()),
+    (["invert", "hostile.json", "offers.json"], 2, set()),
+    (["dominate", "hostile.json", "--profile", "C,C"], 2, set()),
+    (["analyze", "hostile.json"], 2, set()),
 ]
 
 
