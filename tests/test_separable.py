@@ -7,6 +7,8 @@ from fractions import Fraction
 from functools import cached_property
 
 import preplay.complete
+import preplay.core
+import preplay.offers
 from preplay import (
     Game,
     Offer,
@@ -17,7 +19,7 @@ from preplay import (
     complete_from_seed,
     make_profile_dominant,
 )
-from preplay.core import _add_separable
+from preplay.core import _add_separable, _fraction
 from conftest import (
     WORKLOAD_SHAPES,
     prime_denominator_game,
@@ -260,3 +262,42 @@ def test_writing_a_game_never_builds_the_integer_view(monkeypatch):
             apply_offer(game, offer)
         complete_from_seed(game, own_star_seed(rng, game, applied))
     assert computed == []
+
+
+def test_apply_and_completion_build_no_fraction_per_payoff(monkeypatch, corpus):
+    # apply builds one Fraction per amount in its table and one per payee
+    # strategy it pays on, completion n per star profile and n for its
+    # origin; the kernel builds each moved payoff itself, with no call
+    calls = []
+
+    def counting(n, d, g=0):
+        calls.append(None)
+        return _fraction(n, d, g)
+
+    for module in (preplay.core, preplay.offers, preplay.complete):
+        monkeypatch.setattr(module, "_fraction", counting)
+
+    def counted(run, *args):
+        calls.clear()
+        result = run(*args)
+        return result, len(calls)
+
+    rng = random.Random(151)
+    cases = list(corpus)
+    for counts in WORKLOAD_SHAPES:
+        game = shape_game(rng, counts)
+        cases.append((game, random_offer_set(rng, game.space, max_offers=40)))
+        profile = tuple(rng.randrange(count) for count in counts)
+        cases.append((game, make_profile_dominant(game, profile, Fraction(rng.randint(1, 9), 2))))
+    moved = 0
+    for game, offer_set in cases:
+        applied, made = counted(apply_offer_set, game, offer_set)
+        assert made <= len(offer_set._table) + len({key[1:] for key in offer_set._table})
+        pairs = zip(applied.payoffs, game.payoffs)
+        moved += sum(v is not w for new, old in pairs for v, w in zip(new, old))
+        seed = own_star_seed(rng, game, applied)
+        completed, made = counted(complete_from_seed, game, seed)
+        n = len(game.players)
+        assert completed == applied
+        assert made <= n * len(seed.assignments) + n
+    assert moved > 10 * len(cases)
