@@ -39,7 +39,7 @@ from fractions import Fraction
 from itertools import compress, count, repeat
 from operator import mul, ne, sub
 
-from .core import Game, GameShape, PayoffVector, Profile, StrategySpace, _Record, _total
+from .core import Game, PayoffVector, Profile, StrategySpace, _Record, _total
 from .core import format_profile
 
 __all__ = [
@@ -53,14 +53,13 @@ __all__ = [
 
 class DiffTensor(_Record):
     """Per-player payoff differences, target minus source, one vector per
-    profile in row-major order."""
+    profile in row-major order.  ``shape`` is the space's ``GameShape``."""
 
     space: StrategySpace
     values: tuple[PayoffVector, ...]
 
-    @property
-    def shape(self) -> GameShape:
-        return self.space.shape
+    def __post_init__(self):
+        self.__dict__["shape"] = self.space.shape
 
     def vector(self, profile: Sequence[int]) -> PayoffVector:
         return self.values[self.shape.flat_index(profile)]

@@ -18,14 +18,17 @@ be too varied: each player's payoffs share one least common denominator,
 and those denominators together may take at most 65,536 bits.  A game
 may have at most 16 players and at most 16,384 profiles.  Seed documents
 reuse the same grammar with ``null`` for unspecified cells, and the same
-bounds on players and profiles; their denominators are not bounded.  An
-offer document is
+bounds on players and profiles; their denominators are not bounded.  A
+game that ``apply`` or ``complete`` computes meets the denominator bound
+before it is written, so no command writes a game document that it would
+then reject.  An offer document is
 
     {"schema": 1, "offers": [{"payer": "I", "payee": "II",
                               "strategy": "C", "amount": "2"}]}
 
 Exit codes: 0 success, 1 domain failure (target unreachable, seed sum
-violation, nonpositive margin), 2 malformed input, a closed standard output
+violation, nonpositive margin), 2 malformed input, a result game whose
+denominators are too varied (nothing is written), a closed standard output
 where a result goes there, or a result too long to print: a number, in an
 output or in the ``--strict`` amount message, whose numerator or denominator
 has more digits than ``sys.get_int_max_str_digits()`` allows (4,300 by
@@ -378,7 +381,7 @@ def parse_seed_assignments(
 def format_matrix(game: Game) -> str:
     """Two-person payoff matrix, row player first; generic outcome listing
     for other player counts."""
-    cells = [",".join(map(str, cell)) for cell in game.payoffs]
+    cells = [",".join(map(_text, cell)) for cell in game.payoffs]
     if game.shape.player_count != 2:
         # the profiles' names in row-major order
         names = product(*game.strategies)
@@ -420,7 +423,7 @@ def _report(game: Game) -> dict:
         "players": list(game.players),
         "pure_nash": _named(game, analysis.pure_nash),
         "dominance": dominance,
-        "constant_sum": str(analysis.constant_sum) if analysis.constant_sum is not None else None,
+        "constant_sum": _text(analysis.constant_sum) if analysis.constant_sum is not None else None,
         "pareto_optimal": _named(game, analysis.pareto_optimal),
         "strictly_dominant_profile": _named(game, [dominant])[0] if dominant is not None else None,
     }
@@ -482,9 +485,17 @@ def _profile_option(game: Game, text: str, option: str) -> Profile:
 # attribute of a lazy module, so a document that is rejected runs none.
 
 
+def _result_text(game: Game) -> str:
+    """A result game's document, once its payoffs pass ``_check_scales`` as a
+    parsed game's do: a command never writes a game document that its own
+    parser rejects."""
+    _check_scales(game.payoffs, "result")
+    return serialize_game(game)
+
+
 def _cmd_apply(args) -> tuple[str, int]:
     game, offer_set = _read_offers(args)
-    return serialize_game(offers.apply_offer_set(game, offer_set)), 0
+    return _result_text(offers.apply_offer_set(game, offer_set)), 0
 
 
 def _cmd_check(args) -> tuple[str, int]:
@@ -509,7 +520,7 @@ def _cmd_complete(args) -> tuple[str, int]:
     else:
         base = (0,) * game.shape.player_count
     seed = complete.Seed(base, assignments)
-    return serialize_game(complete.complete_from_seed(game, seed)), 0
+    return _result_text(complete.complete_from_seed(game, seed)), 0
 
 
 def _cmd_invert(args) -> tuple[str, int]:

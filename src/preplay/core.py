@@ -55,9 +55,10 @@ equal one and hash alike, and a value that fails to coerce is never
 stored.  Profiles the package generates itself (from
 ``GameShape.profiles``, a star, or an analysis kernel) are read without
 validating them again.  A frame's facts are set once, when it is built:
-``StrategySpace`` builds its ``GameShape`` as it validates its names, and a
-``Game`` keeps its space and that space's shape, so ``.space`` and
-``.shape`` are plain attributes.
+a ``GameShape`` sets its player count, size and strides as it checks its
+counts, ``StrategySpace`` builds its ``GameShape`` as it validates its
+names, and a ``Game`` keeps its space and that space's shape, so
+``.space`` and ``.shape`` are plain attributes.
 
 The package's public types are frozen records (``_Record``): they behave
 as frozen dataclasses do, in construction, equality, hashing, ``repr``,
@@ -327,13 +328,18 @@ class _Record:
 
 
 class GameShape(_Record):
-    """The strategy-count vector of a game: one count per player."""
+    """The strategy-count vector of a game: one count per player.
+
+    Construction sets the facts read off the counts as plain attributes:
+    ``player_count``, ``size``, the number of strategy profiles, and
+    ``strides``, the row-major strides, so that flat index =
+    sum(profile[k] * strides[k]).
+    """
 
     strategy_counts: tuple[int, ...]
 
     def __post_init__(self):
         counts = tuple(self.strategy_counts)
-        self.__dict__["strategy_counts"] = counts
         if len(counts) < 2:
             raise ArityMismatch(f"a game needs at least 2 players, got {len(counts)}")
         for k, count in enumerate(counts):
@@ -342,25 +348,9 @@ class GameShape(_Record):
                 raise ArityMismatch(f"player {k + 1} has strategy count {count!r}; need an int")
             if count < 1:
                 raise ArityMismatch(f"player {k + 1} has {count} strategies; need at least 1")
-
-    @property
-    def player_count(self) -> int:
-        return len(self.strategy_counts)
-
-    @cached_property
-    def size(self) -> int:
-        """Number of strategy profiles."""
-        return math.prod(self.strategy_counts)
-
-    @cached_property
-    def strides(self) -> tuple[int, ...]:
-        """Row-major strides: flat index = sum(profile[k] * strides[k])."""
-        strides = []
-        acc = 1
-        for count in reversed(self.strategy_counts):
-            strides.append(acc)
-            acc *= count
-        return tuple(reversed(strides))
+        strides = tuple(math.prod(counts[k + 1 :]) for k in range(len(counts)))
+        facts = {"player_count": len(counts), "size": math.prod(counts), "strides": strides}
+        self.__dict__.update(strategy_counts=counts, **facts)
 
     def profiles(self) -> Iterator[Profile]:
         """All profiles in row-major order (last coordinate fastest)."""

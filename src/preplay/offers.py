@@ -27,10 +27,11 @@ strategy.  A repeated key is netted through ``core._sum`` as well.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from fractions import Fraction
 
-from .core import Game, StrategySpace, _add_separable, _fraction, _Record, _sum, _total, as_rational
+from .core import Game, StrategySpace, _add_separable, _fraction, _Record, _sum, _text, _total
+from .core import as_rational
 from .errors import SelfOffer
 
 _Net = dict[tuple[int, int, int], Fraction]
@@ -65,31 +66,30 @@ class Offer(_Record):
         self.__dict__.update(payer=payer, payee=payee, payee_strategy=payee_strategy, amount=amount)
 
     def describe(self) -> str:
-        return f"{self.payer} pays {self.payee} {self.amount} if {self.payee} plays {self.payee_strategy}"
+        amount = _text(self.amount)
+        return f"{self.payer} pays {self.payee} {amount} if {self.payee} plays {self.payee_strategy}"
 
 
 class OfferSet(_Record):
     """A finite multiset of offers over one strategy space.
 
     The space is carried along because ordering, inversion and serialization
-    all need the name-to-index context.  Construction resolves every offer's
-    names against the space and nets the amounts into ``_table``, which is
-    not a field (equality, hashing and ``repr`` ignore it) and never mutated.
+    all need the name-to-index context.  Construction takes the offers from
+    any iterable and keeps them as a tuple, resolves every offer's names
+    against the space and nets the amounts into ``_table``, which is not a
+    field (equality, hashing and ``repr`` ignore it) and never mutated.
     """
 
     space: StrategySpace
     offers: tuple[Offer, ...]
 
-    def __init__(self, space: StrategySpace, offers: Iterable[Offer]) -> None:
-        self.__dict__.update(space=space, offers=tuple(offers))
-        self.__post_init__()
-
     def __post_init__(self):
+        offers = tuple(self.offers)
         table: _Net = {}
-        for offer in self.offers:
+        for offer in offers:
             key = self.space._offer_key(offer.payer, offer.payee, offer.payee_strategy)
             table[key] = _sum((table[key], offer.amount)) if key in table else offer.amount
-        self.__dict__["_table"] = table
+        self.__dict__.update(offers=offers, _table=table)
 
     def __iter__(self) -> Iterator[Offer]:
         return iter(self.offers)
