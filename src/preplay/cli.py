@@ -18,17 +18,25 @@ be too varied: each player's payoffs share one least common denominator,
 and those denominators together may take at most 65,536 bits.  A game
 may have at most 16 players and at most 16,384 profiles.  Seed documents
 reuse the same grammar with ``null`` for unspecified cells, and the same
-bounds on players and profiles; their denominators are not bounded.  A
-game that ``apply`` or ``complete`` computes meets the denominator bound
-before it is written, so no command writes a game document that it would
-then reject.  An offer document is
+bounds on players and profiles; their denominators are not bounded.
+``apply`` and ``complete`` bound their result before any work: each
+player's common denominator over the game's payoffs and the net amounts
+that player pays or receives (``apply``), or that player's seed values
+(``complete``), must meet the denominator bound, so no command writes a
+game document that it would then reject.  Amounts that cancel in a payee's
+sum still count toward its bound, and a seed past the bound is refused
+before its coverage and sums are checked (exit 2, not 1).  ``invert``
+writes an offer document, which has no denominator bound.  A payoff cell is
+a JSON array, so a document never holds an unordered cell, which the
+library refuses.  An offer document is
 
     {"schema": 1, "offers": [{"payer": "I", "payee": "II",
                               "strategy": "C", "amount": "2"}]}
 
 Exit codes: 0 success, 1 domain failure (target unreachable, seed sum
 violation, nonpositive margin), 2 malformed input, a result game whose
-denominators are too varied (nothing is written), a closed standard output
+denominators could be too varied (refused before any work, and nothing is
+written), a closed standard output
 where a result goes there, or a result too long to print: a number, in an
 output or in the ``--strict`` amount message, whose numerator or denominator
 has more digits than ``sys.get_int_max_str_digits()`` allows (4,300 by
@@ -483,19 +491,20 @@ def _profile_option(game: Game, text: str, option: str) -> Profile:
 # Each command returns its result's text and its exit code, and ``run``
 # writes them.  A command reads all of its documents before it reads an
 # attribute of a lazy module, so a document that is rejected runs none.
-
-
-def _result_text(game: Game) -> str:
-    """A result game's document, once its payoffs pass ``_check_scales`` as a
-    parsed game's do: a command never writes a game document that its own
-    parser rejects."""
-    _check_scales(game.payoffs, "result")
-    return serialize_game(game)
+# ``apply`` and ``complete`` bound their result's scales before any work:
+# a result payoff moves only by numbers its own player's entries in the
+# input hold, so each result scale divides the lcm ``_check_scales`` takes
+# over the game's payoffs and those entries, and no command writes a game
+# document that its own parser rejects.
 
 
 def _cmd_apply(args) -> tuple[str, int]:
     game, offer_set = _read_offers(args)
-    return _result_text(offers.apply_offer_set(game, offer_set)), 0
+    n, zero = len(game.players), Fraction(0)
+    # one cell per net amount, holding it at its payer's and its payee's index
+    moved = [[d if k in key[:2] else zero for k in range(n)] for key, d in offer_set._table.items()]
+    _check_scales([*game.payoffs, *moved], "result")
+    return serialize_game(offers.apply_offer_set(game, offer_set)), 0
 
 
 def _cmd_check(args) -> tuple[str, int]:
@@ -519,8 +528,9 @@ def _cmd_complete(args) -> tuple[str, int]:
         base = _profile_option(game, args.base, "--base")
     else:
         base = (0,) * game.shape.player_count
+    _check_scales([*game.payoffs, *assignments.values()], "result")
     seed = complete.Seed(base, assignments)
-    return _result_text(complete.complete_from_seed(game, seed)), 0
+    return serialize_game(complete.complete_from_seed(game, seed)), 0
 
 
 def _cmd_invert(args) -> tuple[str, int]:

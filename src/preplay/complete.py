@@ -13,9 +13,10 @@ axes, built in row-major order on Python int pairs by the same kernel that
 applies offers.  Each star difference t - s, and each of the origin's
 (1 - n) c(b), is one ``core._fraction`` of int pairs read through the
 public ``as_integer_ratio``, ``numerator`` and ``denominator``, not a
-``Fraction`` operator.  Each seed vector's total is checked against the
-source's with ``core._total``, on int pairs; ``Fraction`` totals are built
-only for the error message.
+``Fraction`` operator.  The seed check is C1 on those differences: a
+star profile's differences must total zero (``core._total``, on int
+pairs), and the seed's and the source's totals are built only for the
+error message.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ def complete_from_seed(source: Game, seed: Seed) -> Game:
 
     The seed must cover exactly the star of its base profile, and each seed
     vector must have the same payoff total as the source at that profile
-    (offers cannot change outcome totals, so no other seed is realizable).
+    (offers cannot change outcome totals, so no other seed is realizable):
+    each star profile's differences are built first and must sum to zero.
     Each profile's difference is the base's difference plus, per axis, the
     step the star takes from the base to that profile's coordinate.  The
     result needs no reachability check: it is separable by construction, and
@@ -104,14 +106,14 @@ def complete_from_seed(source: Game, seed: Seed) -> Game:
             )
         # the star is built from the validated base, so its profiles index directly
         current = source.payoffs[sum(map(mul, p, shape.strides))]
-        (num, den), (s_num, s_den) = _total(vector), _total(current)
-        if num * s_den != s_num * den:
-            raise SeedSumViolation(
-                f"seed at {space.name_profile(p)} has payoff total {_shown(Fraction(num, den))}; "
-                f"offers preserve the source total {_shown(Fraction(s_num, s_den))}"
-            )
         pairs = zip(map(Fraction.as_integer_ratio, vector), map(Fraction.as_integer_ratio, current))
-        diff[p] = tuple(_fraction(tn * sd - sn * td, td * sd) for (tn, td), (sn, sd) in pairs)
+        diff[p] = c = tuple(_fraction(tn * sd - sn * td, td * sd) for (tn, td), (sn, sd) in pairs)
+        # C1: offers move no profile's total, so the differences sum to zero
+        if _total(c)[0]:
+            raise SeedSumViolation(
+                f"seed at {space.name_profile(p)} has payoff total {_shown(sum(vector))}; "
+                f"offers preserve the source total {_shown(payoff_sum(source, p))}"
+            )
 
     # the same sum regrouped: c(p) = (1 - n) c(b) + sum_k c(b with axis k set to p_k)
     origin = tuple(_fraction((1 - n) * x.numerator, x.denominator) for x in diff[base])

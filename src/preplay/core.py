@@ -42,11 +42,11 @@ text through ``_text``.
 
 A game's payoffs are checked once, where the game enters: the public
 constructor coerces and checks every value (through ``_vector``, which
-``make_game`` and ``Seed`` share, so all three reject a string or a single
-number given as a payoff vector alike), while the document parser,
-``make_game`` and ``_add_separable``, which have already checked or exactly
-built their cells, hand ``Game`` its space and it takes their cells as
-given.  The public constructor, ``make_game`` and ``Seed`` each hand
+``make_game`` and ``Seed`` share, so all three reject a string, a set, a
+dict or a single number given as a payoff vector alike), while the
+document parser, ``make_game`` and ``_add_separable``, which have already
+checked or exactly built their cells, hand ``Game`` its space and it takes
+their cells as given.  The public constructor, ``make_game`` and ``Seed`` each hand
 ``_vector`` one memo per construction, so each distinct exact int or str
 is coerced once and equal ones share its ``Fraction``.  The memo is keyed
 as ``cli._read_payoffs`` keys its own: only values of exact type int or
@@ -219,8 +219,10 @@ def as_rational(value: RationalLike) -> Fraction:
 
 def _vector(cell: Iterable[RationalLike], memo: dict) -> PayoffVector:
     """A payoff vector with each value coerced by ``as_rational``.  A string
-    iterates, but digit by digit, so it is no more a vector than a single
-    number is; both raise ``TypeError``.
+    iterates, but digit by digit, and a set or a dict in hash or key order,
+    so none of them is a vector any more than a single number is; all raise
+    ``TypeError``.  An exact tuple, the cell most callers pass, skips the
+    wider type test.
 
     ``memo`` is one construction's: each distinct exact int or str is
     coerced once and its ``Fraction`` reused, keyed by the value itself, as
@@ -228,7 +230,7 @@ def _vector(cell: Iterable[RationalLike], memo: dict) -> PayoffVector:
     ``True``, ``1.0`` and ``Fraction(1)`` equal ``1`` and hash alike, and a
     value that fails to coerce raises before it is stored.
     """
-    if isinstance(cell, (str, bytes)):
+    if type(cell) is not tuple and isinstance(cell, (str, bytes, set, frozenset, dict)):
         raise TypeError(f"not a payoff vector: {cell!r}")
     try:
         values = iter(cell)

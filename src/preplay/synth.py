@@ -73,8 +73,11 @@ def synthesize_offers(source: Game, target: Game) -> SynthesisResult:
     amounts are read straight off that star.  Stepping axis q changes player
     p's difference by minus the change in e[p, q, ·], so each block paying a
     player q ≥ 1 is fixed up to a constant; that constant is pinned by
-    setting the amount on q's last strategy to zero.  The blocks paying the
-    first player then follow from each payer's own difference along axis 0.
+    setting the amount on q's last strategy to zero.  Each pinned variable
+    is named in the walk that pins it: the loop over a block ends on q's
+    last strategy, and the zero it has just written there is the variable's
+    value.  The blocks paying the first player then follow from each
+    payer's own difference along axis 0.
     The amounts go straight into the net table e[payer, payee, strategy].
 
     The check hands over the star it verified, on the integer difference
@@ -95,12 +98,15 @@ def synthesize_offers(source: Game, target: Game) -> SynthesisResult:
 
     # e[payer, payee, t]: net amount offered on the payee's strategy t
     e: _Net = {}
+    pinned = []
     for q in range(1, n):
         for p in range(n):
             if p != q:
                 axis = star[p][q]
                 for t, c in enumerate(axis):
                     e[p, q, t] = _fraction(axis[-1] - c, scales[p])
+                # the loop ends on q's last strategy, whose amount it has just pinned to 0
+                pinned.append((f"{players[p]}->{players[q]}/{strategies[q][-1]}", e[p, q, t]))
     for p in range(1, n):
         # at (0,…,0) with axis 0 set to t, player p receives every
         # e[k, p, 0] and pays e[p, 0, t] plus every other e[p, k, 0]
@@ -109,13 +115,7 @@ def synthesize_offers(source: Game, target: Game) -> SynthesisResult:
         for t, c in enumerate(star[p][0]):
             e[p, 0, t] = _sum((balance,), (_fraction(c, scales[p]),))
 
-    pinned = tuple(
-        (f"{players[p]}->{players[q]}/{strategies[q][-1]}", Fraction(0))
-        for q in range(1, n)
-        for p in range(n)
-        if p != q
-    )
-    return SynthesisResult(_canonical(space, e), pinned)
+    return SynthesisResult(_canonical(space, e), tuple(pinned))
 
 
 def nonnegative_decomposition(offer_set: OfferSet) -> OfferSet:

@@ -4,6 +4,7 @@ checked here against the public constructor's, which coerces and checks
 every value, on the seeded corpus and on the game shapes of the benchmark's
 ``reach`` and ``transform`` workloads."""
 
+import collections
 import random
 from fractions import Fraction
 
@@ -170,3 +171,32 @@ def test_builders_read_a_cell_iterable_only_by_index_as_the_constructor_does():
     built = make_game(players, strategies, {("a", "c"): (1, 2), ("b", "c"): Indexed()})
     assert built.payoffs[1] == vector
     assert Seed((0, 0), {(1, 0): Indexed()}).assignments[(1, 0)] == vector
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [{"1/2", "3"}, frozenset({"1/2", "3"}), {0: "5", 1: "7"}, collections.OrderedDict(a=1, b=2)],
+    ids=["set", "frozenset", "dict", "OrderedDict"],
+)
+def test_builders_reject_an_unordered_cell_as_the_constructor_does(cell):
+    # a set iterates in hash order, which PYTHONHASHSEED moves, and a dict
+    # as its keys, so neither is read as a payoff vector
+    players, strategies = ("I", "II"), (("a", "b"), ("c",))
+    builders = {
+        "Game": lambda: Game(players, strategies, ((1, 2), cell)),
+        "make_game": lambda: make_game(players, strategies, {("a", "c"): (1, 2), ("b", "c"): cell}),
+        "Seed": lambda: Seed((0, 0), {(0, 0): (1, 2), (1, 0): cell}),
+    }
+    for name, build in builders.items():
+        with pytest.raises(TypeError) as raised:
+            build()
+        assert str(raised.value) == f"not a payoff vector: {cell!r}", name
+
+
+def test_builders_still_read_a_tuple_subclass_as_a_vector():
+    # a tuple subclass is no exact tuple, so it takes the wider type test
+    cell = collections.namedtuple("Pair", "first second")(3, "1/2")
+    players, strategies = ("I", "II"), (("a",), ("c",))
+    assert Game(players, strategies, (cell,)).payoffs == ((3, Fraction(1, 2)),)
+    assert make_game(players, strategies, {("a", "c"): cell}).payoffs == ((3, Fraction(1, 2)),)
+    assert Seed((0, 0), {(0, 0): cell}).assignments == {(0, 0): (3, Fraction(1, 2))}

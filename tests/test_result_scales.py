@@ -9,8 +9,9 @@ import math
 
 import pytest
 
-from preplay import Seed, apply_offer_set, complete_from_seed
+from preplay import Seed, apply_offer_set, complete, complete_from_seed, offers
 from preplay.cli import _MAX_SCALE_BITS, parse_game, parse_offers, run
+from preplay.cli import parse_seed_assignments, serialize_game
 
 TOO_VARIED = (
     "error: result: payoffs: denominators too varied: the players' common "
@@ -121,3 +122,115 @@ def test_the_library_keeps_no_bound():
     assert sum(scale.bit_length() for scale in applied._scaled[0]) > _MAX_SCALE_BITS
     star = {p: applied.payoff(p) for p in game.shape.star((0, 0))}
     assert complete_from_seed(game, Seed((0, 0), star)) == applied
+
+
+# ---------------------------------------------------------------------------
+# the bound holds before any work: a result payoff moves only by numbers its
+# own player's entries in the offer or seed document hold, so the game's
+# payoffs and those entries bound every result scale
+
+
+def refuse_the_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the outer-sum kernel ran")
+
+    monkeypatch.setattr(offers, "_add_separable", refuse)
+    monkeypatch.setattr(complete, "_add_separable", refuse)
+
+
+def bound_seed(extra: int = 0) -> str:
+    """A seed on the star of (s0, s0) whose completion's two common
+    denominators take ``_MAX_SCALE_BITS + 2 * extra`` bits together: the
+    first row moves columns 2–8 by 1/d for seven odd coprime d, and the
+    second row's first cell moves that row by one over a power of two that
+    brings each player's lcm to half the bound.  A completed payoff adds a
+    row's and a column's amount, so each d takes about 4,000 bits, and no
+    sum's denominator passes the int-to-str digit limit."""
+    odd = coprime(7, math.factorial(8) << 3990)
+    power = _MAX_SCALE_BITS // 2 - math.prod(odd).bit_length() + extra
+    amounts = [f"1/{d}" for d in odd] + [f"1/{2**power}"]
+    seed = [[None] * 8 for _ in range(8)]
+    seed[0] = [["0", "0"]] + [[f"-{a}", a] for a in amounts[:7]]
+    for r in range(1, 8):
+        seed[r][0] = ["0", "0"]
+    seed[1][0] = [amounts[7], f"-{amounts[7]}"]
+    return game_doc(seed)
+
+
+def test_apply_one_power_past_the_bound_exits_2_before_the_kernel(paths, capsys, monkeypatch):
+    refuse_the_kernel(monkeypatch)
+    root = paths(**{"game.json": ZERO_GAME, "offers.json": offers_doc(bound_amounts(1))})
+    target = root / "out.json"
+    argv = ["apply", str(root / "game.json"), str(root / "offers.json"), "-o", str(target)]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", TOO_VARIED)
+    assert not target.exists()
+
+
+def test_complete_one_power_past_the_bound_exits_2_before_the_kernel(paths, capsys, monkeypatch):
+    refuse_the_kernel(monkeypatch)
+    root = paths(**{"game.json": ZERO_GAME, "seed.json": bound_seed(1)})
+    target = root / "out.json"
+    argv = ["complete", str(root / "game.json"), str(root / "seed.json"), "-o", str(target)]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", TOO_VARIED)
+    assert not target.exists()
+
+
+def test_a_completed_game_at_the_bound_parses_back(paths, capsys):
+    seed_text = bound_seed()
+    root = paths(**{"game.json": ZERO_GAME, "seed.json": seed_text})
+    assert run(["complete", str(root / "game.json"), str(root / "seed.json")]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    game = parse_game(ZERO_GAME)
+    assignments = parse_seed_assignments(seed_text, game)
+    completed = complete_from_seed(game, Seed((0, 0), assignments))
+    assert parse_game(out) == completed
+    assert sum(scale.bit_length() for scale in completed._scaled[0]) == _MAX_SCALE_BITS
+
+
+def test_a_seed_past_the_bound_exits_2_before_its_coverage_and_sums_are_checked(paths, capsys):
+    # the base's cell is missing and the cell at (s0, s1) totals 2/d, not 0:
+    # over the bound, neither fault is reached
+    seed = json.loads(bound_seed(1))
+    seed["payoffs"][0][0] = None
+    seed["payoffs"][0][1][0] = seed["payoffs"][0][1][1]
+    root = paths(**{"game.json": ZERO_GAME, "seed.json": json.dumps(seed)})
+    assert run(["complete", str(root / "game.json"), str(root / "seed.json")]) == 2
+    assert capsys.readouterr() == ("", TOO_VARIED)
+
+
+def test_amounts_that_cancel_in_a_payees_sum_still_count_toward_its_bound(paths, capsys):
+    # P0 receives 1/d from one payer and -1/d from another on each of its two
+    # strategies, so its payoffs do not move, but its bound counts both
+    # amounts: the applied game's four moved players take some 64,000 bits,
+    # and P0's share of the bound some 32,000 more
+    d = coprime(4, math.factorial(4) << 7990)
+    doc = {
+        "schema": 1,
+        "players": ["P0", "P1", "P2", "P3", "P4"],
+        "strategies": [["s0", "s1"]] + [["t"]] * 4,
+        # one array per player: P0's two strategies, then one of each other's
+        "payoffs": [[[[[["0"] * 5]]]]] * 2,
+    }
+    # P1 pays 1/d[j] on P0's s{j} and P2 pays -1/d[j]; P3 and P4 likewise over d[2 + j]
+    payers = [("P1", "", 0), ("P2", "-", 0), ("P3", "", 2), ("P4", "-", 2)]
+    entries = [
+        {"payer": payer, "payee": "P0", "strategy": f"s{j}", "amount": f"{sign}1/{d[first + j]}"}
+        for payer, sign, first in payers
+        for j in range(2)
+    ]
+    game_text, offers_text = json.dumps(doc), json.dumps({"schema": 1, "offers": entries})
+
+    game = parse_game(game_text)
+    applied = apply_offer_set(game, parse_offers(offers_text, game.space))
+    assert applied.payoffs[0][0] == applied.payoffs[1][0] == 0
+    # the applied game alone is within the bound, and its document parses back
+    bits = sum(scale.bit_length() for scale in applied._scaled[0])
+    assert 64_000 - 100 < bits <= _MAX_SCALE_BITS
+    assert parse_game(serialize_game(applied)) == applied
+
+    root = paths(**{"game.json": game_text, "offers.json": offers_text})
+    assert run(["apply", str(root / "game.json"), str(root / "offers.json")]) == 2
+    assert capsys.readouterr() == ("", TOO_VARIED)
