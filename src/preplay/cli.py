@@ -36,16 +36,16 @@ library refuses.  An offer document is
 Exit codes: 0 success, 1 domain failure (target unreachable, seed sum
 violation, nonpositive margin), 2 malformed input, a result game whose
 denominators could be too varied (refused before any work, and nothing is
-written), a closed standard output
-where a result goes there, or a result too long to print: a number, in an
-output or in the ``--strict`` amount message, whose numerator or denominator
-has more digits than ``sys.get_int_max_str_digits()`` allows (4,300 by
+written), a closed standard output where a result goes there, or a result
+too long to print: a number in an output whose numerator or denominator has
+more digits than ``sys.get_int_max_str_digits()`` allows (4,300 by
 default).  That limit stays as it is, since it keeps int-to-str conversion
 of hostile numbers from taking quadratic time.  A seed sum or margin message
 names such a number by its length in bits (``core._shown``), so those
-failures exit 1 whatever the number.  An error is always one line on
-stderr: a line break in a path, an option or a name is written as its
-Python escape (``\\n``, ``\\r``, ``\\u2028``, ...).
+failures exit 1 whatever the number, and a ``--strict`` message names a
+long negative amount the same way, as a fault of its offer document.  An
+error is always one line on stderr: a line break in a path, an option or a
+name is written as its Python escape (``\\n``, ``\\r``, ``\\u2028``, ...).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from json.encoder import encode_basestring_ascii
 
 # the other layers load lazily, when a command first calls into one of them
 from . import analyze, characterize, complete, offers, synth
-from .core import Game, Profile, StrategySpace, _scales, _text, as_rational
+from .core import Game, Profile, StrategySpace, _scales, _shown, _text, as_rational
 from .errors import NonpositiveMargin, NotEquivalent, ParseError, PreplayError, SeedSumViolation
 
 SCHEMA_VERSION = 1
@@ -132,28 +132,34 @@ def _expect_list(node, source: str, location: str, length: int | None = None) ->
     return node
 
 
-def _expect_string(node, source: str, location: str, *index: int) -> str:
-    """``node``, a string that UTF-8 can encode.  ``location`` is formatted
-    with ``index`` only to name a fault, so a name that is not at fault
-    costs no location text."""
-    # the detail, like the location, is formatted only at a fault
-    fault = "expected a string, got {}"
-    if isinstance(node, str):
-        try:
-            # json.loads turns "\ud800" into a lone surrogate, which UTF-8
-            # cannot encode, so neither the output nor this detail may carry it
-            node.encode("utf-8")
-            return node
-        except UnicodeEncodeError:
-            fault = "string is not valid Unicode (lone surrogate)"
-    raise ParseError(source, location.format(*index), fault.format(type(node).__name__))
+def _expect_string(node, source: str, location: str) -> str:
+    """``node``, a string that UTF-8 can encode."""
+    if not isinstance(node, str):
+        raise ParseError(source, location, f"expected a string, got {type(node).__name__}")
+    try:
+        # json.loads turns "\ud800" into a lone surrogate, which UTF-8
+        # cannot encode, so neither the output nor this detail may carry it
+        node.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError(source, location, "string is not valid Unicode (lone surrogate)") from None
+    return node
+
+
+def _located(source: str, location: str, build, *args):
+    """``build(*args)``; a ``PreplayError`` or ``ValueError`` it raises is a
+    fault of ``source`` at ``location``, and is raised as that ``ParseError``
+    with the chain cut."""
+    try:
+        return build(*args)
+    except (PreplayError, ValueError) as exc:
+        raise ParseError(source, location, str(exc)) from None
 
 
 def _rational(node) -> Fraction:
     """A rational as JSON gives it: an int or a string, never a bool or float.
 
     Raises ``ValueError`` with the message a ``ParseError`` shows; the caller,
-    which knows where the value sits, builds the ``ParseError``."""
+    which knows where the value sits, reports it through ``_located``."""
     if type(node) is not int and type(node) is not str:
         raise ValueError(f"expected an integer or a rational string, got {json.dumps(node)}")
     try:
@@ -182,19 +188,16 @@ def _parse_frame(doc: dict, source: str) -> StrategySpace:
         raise ParseError(
             source, "players", f"{len(players)} players; at most {_MAX_PLAYERS} are allowed"
         )
-    players = tuple(_expect_string(p, source, "players[{}]", i) for i, p in enumerate(players))
+    players = tuple(_expect_string(p, source, f"players[{i}]") for i, p in enumerate(players))
     strategy_rows = _expect_list(doc.get("strategies"), source, "strategies", len(players))
     strategies = tuple(
         tuple(
-            _expect_string(s, source, "strategies[{}][{}]", i, j)
+            _expect_string(s, source, f"strategies[{i}][{j}]")
             for j, s in enumerate(_expect_list(row, source, f"strategies[{i}]"))
         )
         for i, row in enumerate(strategy_rows)
     )
-    try:
-        space = StrategySpace(players, strategies)
-    except PreplayError as exc:
-        raise ParseError(source, "players/strategies", str(exc)) from None
+    space = _located(source, "players/strategies", StrategySpace, players, strategies)
     if space.shape.size > _MAX_CELLS:
         raise ParseError(
             source, "strategies", f"{space.shape.size} profiles; at most {_MAX_CELLS} are allowed"
@@ -339,20 +342,13 @@ def parse_offers(
         payer = _expect_string(entry.get("payer"), source, f"{location}.payer")
         payee = _expect_string(entry.get("payee"), source, f"{location}.payee")
         strategy = _expect_string(entry.get("strategy"), source, f"{location}.strategy")
-        try:
-            amount = _rational(entry.get("amount"))
-        except ValueError as exc:
-            raise ParseError(source, f"{location}.amount", str(exc)) from None
-        if strict and amount < 0:
+        amount = _located(source, f"{location}.amount", _rational, entry.get("amount"))
+        if strict and amount.numerator < 0:
             raise ParseError(
-                source, f"{location}.amount", f"negative amount {amount} (strict mode)"
+                source, f"{location}.amount", f"negative amount {_shown(amount)} (strict mode)"
             )
-        try:
-            offer = offers.Offer(payer, payee, strategy, amount)
-            space._offer_key(payer, payee, strategy)
-        except PreplayError as exc:
-            raise ParseError(source, location, str(exc)) from None
-        parsed.append(offer)
+        parsed.append(_located(source, location, offers.Offer, payer, payee, strategy, amount))
+        _located(source, location, space._offer_key, payer, payee, strategy)
     return offers.OfferSet(space, tuple(parsed))
 
 
@@ -481,11 +477,7 @@ def _read_offers(args) -> tuple[Game, offers.OfferSet]:
 
 
 def _profile_option(game: Game, text: str, option: str) -> Profile:
-    names = text.split(",")
-    try:
-        return game.space.profile_from_names(names)
-    except PreplayError as exc:
-        raise ParseError("command line", option, str(exc)) from None
+    return _located("command line", option, game.space.profile_from_names, text.split(","))
 
 
 # Each command returns its result's text and its exit code, and ``run``

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -25,6 +26,7 @@ from preplay.cli import (
     _MAX_CELLS,
     _MAX_PLAYERS,
     _MAX_SCALE_BITS,
+    _build_parser,
     _check_scales,
     _parse_frame,
     format_matrix,
@@ -130,7 +132,7 @@ def test_parse_game_error_paths():
         assert f"unsupported schema version {version!r}" in str(info.value)
 
 
-# a frame whose names hold one fault; the location is formatted only then
+# a frame whose names hold one fault
 FRAME = '{"schema": 1, "players": %s, "strategies": %s, "payoffs": [[[0, 0]], [[0, 0]]]}'
 ROWS = '[["a", "b"], ["c"]]'
 SURROGATE = "string is not valid Unicode (lone surrogate)"
@@ -766,6 +768,129 @@ def test_usage_error_exits_2(capsys):
         assert captured.err.count("\n") == 1
 
 
+HELP = (
+    ["-h", "--help"],
+    "help",
+    0,
+    argparse.SUPPRESS,
+    False,
+    None,
+    "show this help message and exit",
+)
+OUTPUT = (["-o", "--output"], "output", None, None, False, None, None)
+STRICT = (["--strict"], "strict", 0, False, False, None, "reject negative amounts")
+
+
+def positional(dest: str, choices=None) -> tuple:
+    return ([], dest, None, None, True, choices, None)
+
+
+# each subcommand in the order --help lists it: its help, its handler, and
+# each of its actions as (option strings, dest, nargs, default, required,
+# choices, help)
+SURFACE = {
+    "apply": (
+        "apply an offer set to a game",
+        "_cmd_apply",
+        [HELP, positional("game"), positional("offers"), OUTPUT, STRICT],
+    ),
+    "check": (
+        "decide whether a target is reachable by offers",
+        "_cmd_check",
+        [HELP, positional("game"), positional("target")],
+    ),
+    "synth": (
+        "construct offers realizing a reachable target",
+        "_cmd_synth",
+        [
+            HELP,
+            positional("game"),
+            positional("target"),
+            (["--nonnegative"], "nonnegative", 0, False, False, None, "decompose negative amounts"),
+            OUTPUT,
+        ],
+    ),
+    "complete": (
+        "extend a star seed to the unique reachable game",
+        "_cmd_complete",
+        [
+            HELP,
+            positional("game"),
+            positional("seed"),
+            (
+                ["--base"],
+                "base",
+                None,
+                None,
+                False,
+                None,
+                "base profile as comma-separated strategy names",
+            ),
+            OUTPUT,
+        ],
+    ),
+    "invert": (
+        "construct the offer set undoing another",
+        "_cmd_invert",
+        [HELP, positional("game"), positional("offers"), OUTPUT, STRICT],
+    ),
+    "dominate": (
+        "make a chosen profile strictly dominant",
+        "_cmd_dominate",
+        [
+            HELP,
+            positional("game"),
+            (["--profile"], "profile", None, None, True, None, "comma-separated strategy names"),
+            (
+                ["--margin"],
+                "margin",
+                None,
+                "1",
+                False,
+                None,
+                "required dominance margin (positive rational)",
+            ),
+            OUTPUT,
+        ],
+    ),
+    "analyze": (
+        "pure-strategy analysis of a game",
+        "_cmd_analyze",
+        [HELP, positional("game"), (["--json"], "json", 0, False, False, None, None)],
+    ),
+    "demo": ("worked walkthrough", "_cmd_demo", [HELP, positional("topic", ["pd"])]),
+}
+
+
+def declared(action) -> tuple:
+    return (
+        action.option_strings,
+        action.dest,
+        action.nargs,
+        action.default,
+        action.required,
+        action.choices,
+        action.help,
+    )
+
+
+def test_the_parser_declares_its_surface():
+    # what --help renders from; the rendering itself differs between Python
+    # versions, the declarations do not
+    parser = _build_parser()
+    assert parser.prog == "preplay"
+    assert parser.description == "Transform normal form games with binding preplay offers."
+    help_action, commands = parser._actions
+    assert declared(help_action) == HELP
+    assert (commands.dest, commands.required, commands.nargs) == ("command", True, argparse.PARSER)
+    helps = {action.dest: action.help for action in commands._choices_actions}
+    surface = {
+        name: (helps[name], p.get_default("func").__name__, [declared(a) for a in p._actions])
+        for name, p in commands.choices.items()
+    }
+    assert list(surface.items()) == list(SURFACE.items())
+
+
 def test_strict_flag_rejects_negative(files, capsys):
     doc = json.loads(OFFER_DOC)
     doc["offers"][0]["amount"] = "-1"
@@ -949,7 +1074,6 @@ LONG_CASES = [
     [
         ["apply", "long.json", "none.json"],
         ["apply", "over-d1.json", "over-d2.json"],
-        ["apply", "--strict", "m0.json", "negative.json"],
         ["analyze", "coprime.json"],
         ["analyze", "coprime.json", "--json"],
         ["dominate", "m0.json", "--profile", "C,C", "--margin", LONG_DECIMAL],
@@ -957,7 +1081,6 @@ LONG_CASES = [
     ids=[
         "apply-long-payoff",
         "apply-long-denominator",
-        "apply-strict-negative-amount",
         "analyze-constant-sum",
         "analyze-json-constant-sum",
         "dominate-positive-margin",
@@ -1016,6 +1139,147 @@ def test_library_errors_name_a_number_too_long_to_print_by_its_length(m0):
         with pytest.raises(NonpositiveMargin) as info:
             make_profile_dominant(m0, (0, 0), margin)
         assert str(info.value) == f"margin must be positive, got {shown}"
+
+
+# "-1." and 4,300 ones: 11...1 over 10^4300, 14,288 and 14,282 bits
+SHORT_LONG_DECIMAL = "-1." + "1" * 4300
+
+
+@pytest.mark.parametrize(
+    "command, amount, shown",
+    [
+        ("apply", "-" + LONG_DECIMAL, LONG_BITS),
+        ("invert", "-" + LONG_DECIMAL, LONG_BITS),
+        ("apply", SHORT_LONG_DECIMAL, "a number of 28570 bits"),
+        ("invert", SHORT_LONG_DECIMAL, "a number of 28570 bits"),
+    ],
+    ids=["apply-8600-digits", "invert-8600-digits", "apply-4301-digits", "invert-4301-digits"],
+)
+def test_strict_mode_names_a_long_negative_amount_by_its_bits(
+    files, capsys, command, amount, shown
+):
+    # the fault is the offer document's, not the result's
+    negative = files("negative.json", offers_doc(amount))
+    assert run([command, "--strict", files("m0.json", M0_DOC), negative]) == 2
+    line = f"{negative}: offers[0].amount: negative amount {shown} (strict mode)"
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+def one_offer_doc(**fields) -> str:
+    """An offer document holding I's offer of 2 to II on C, with ``fields``
+    in its place."""
+    offer = {"payer": "I", "payee": "II", "strategy": "C", "amount": "2", **fields}
+    return json.dumps({"schema": 1, "offers": [offer]})
+
+
+# a library call's fault that the CLI reports where it sits: the command, its
+# documents by name, and the document (or "command line") at fault, with the
+# location and detail of its line
+APPLY = ["apply", "m0.json", "offers.json"]
+LOCATED_FAULTS = {
+    "duplicate-player": (
+        ["analyze", "game.json"],
+        {"game.json": M0_DOC.replace('["I", "II"]', '["I", "I"]')},
+        "game.json",
+        "players/strategies",
+        "duplicate player name 'I'",
+    ),
+    "duplicate-strategy": (
+        ["analyze", "game.json"],
+        {"game.json": M0_DOC.replace('[["C", "D"], ["C", "D"]]', '[["C", "C"], ["C", "D"]]')},
+        "game.json",
+        "players/strategies",
+        "duplicate strategy name 'C' for player 'I'",
+    ),
+    "non-rational-amount": (
+        APPLY,
+        {"offers.json": one_offer_doc(amount="2/x")},
+        "offers.json",
+        "offers[0].amount",
+        'not a rational: "2/x"',
+    ),
+    "self-offer": (
+        APPLY,
+        {"offers.json": one_offer_doc(payee="I")},
+        "offers.json",
+        "offers[0]",
+        "player 'I' cannot make an offer to itself",
+    ),
+    # the offer is built before its names are looked up
+    "self-offer-by-an-unknown-player": (
+        APPLY,
+        {"offers.json": one_offer_doc(payer="III", payee="III")},
+        "offers.json",
+        "offers[0]",
+        "player 'III' cannot make an offer to itself",
+    ),
+    "unknown-payer": (
+        APPLY,
+        {"offers.json": one_offer_doc(payer="III")},
+        "offers.json",
+        "offers[0]",
+        "no player named 'III'",
+    ),
+    "unknown-payee": (
+        APPLY,
+        {"offers.json": one_offer_doc(payee="III")},
+        "offers.json",
+        "offers[0]",
+        "no player named 'III'",
+    ),
+    "unknown-strategy": (
+        APPLY,
+        {"offers.json": one_offer_doc(strategy="X")},
+        "offers.json",
+        "offers[0]",
+        "player 'II' has no strategy named 'X'",
+    ),
+    "profile-unknown-strategy": (
+        ["dominate", "m0.json", "--profile", "C,X"],
+        {},
+        "command line",
+        "--profile",
+        "player 'II' has no strategy named 'X'",
+    ),
+    "profile-arity": (
+        ["dominate", "m0.json", "--profile", "C"],
+        {},
+        "command line",
+        "--profile",
+        "profile (C) has 1 entries for 2 players",
+    ),
+    "base-unknown-strategy": (
+        ["complete", "m0.json", "seed.json", "--base", "X,C"],
+        {"seed.json": M0_DOC.replace('["1", "1"]', "null")},
+        "command line",
+        "--base",
+        "player 'I' has no strategy named 'X'",
+    ),
+    "base-arity": (
+        ["complete", "m0.json", "seed.json", "--base", "C,C,C"],
+        {"seed.json": M0_DOC.replace('["1", "1"]', "null")},
+        "command line",
+        "--base",
+        "profile (C,C,C) has 3 entries for 2 players",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, docs, source, location, detail", LOCATED_FAULTS.values(), ids=LOCATED_FAULTS
+)
+def test_a_located_fault_keeps_its_whole_line(files, capsys, argv, docs, source, location, detail):
+    paths = {name: files(name, text) for name, text in {"m0.json": M0_DOC, **docs}.items()}
+    argv = [paths.get(arg, arg) for arg in argv]
+    line = f"{paths.get(source, source)}: {location}: {detail}"
+    args = _build_parser().parse_args(argv)
+    with pytest.raises(ParseError) as info:
+        args.func(args)
+    assert str(info.value) == line
+    # the library's exception is no part of the report
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
 
 
 @settings(max_examples=300, deadline=None)
