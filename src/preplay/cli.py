@@ -533,10 +533,7 @@ def _cmd_invert(args) -> tuple[str, int]:
 def _cmd_dominate(args) -> tuple[str, int]:
     game = _read_game(args.game)
     profile = _profile_option(game, args.profile, "--profile")
-    try:
-        margin = as_rational(args.margin)
-    except ValueError:
-        raise ParseError("command line", "--margin", f"not a rational: {args.margin!r}") from None
+    margin = _located("command line", "--margin", as_rational, args.margin)
     return serialize_offers(synth.make_profile_dominant(game, profile, margin)), 0
 
 

@@ -7,13 +7,13 @@ transformation and every equality test is exact; nothing is ever rounded.
 Each game also caches its payoffs as Python ints over one common denominator
 per player (``Game._scaled``), stored by player: one tuple of ints per
 player.  ``_scales`` is the one routine that computes those denominators,
-the players' scales: ``Game._scaled`` calls it, and so does the game
-document parser, which bounds the scales and hands them to the ``Game`` it
-builds, so a parsed game's scales are computed once.  Every per-player
-comparison reads the integer view instead of the ``Fraction``s: the
-reachability check, synthesis, Pareto, and the Nash and dominance kernels,
-which read it cut into one tuple per player and strategy
-(``Game._slices``).  ``_total`` is the one exact profile total, a sum over
+the players' scales, each as a balanced tree of lcms built one level at a
+time: ``Game._scaled`` calls it, and so does the game document parser,
+which bounds the scales and hands them to the ``Game`` it builds, so a
+parsed game's scales are computed once.  Every per-player comparison reads
+the integer view instead of the ``Fraction``s: the reachability check,
+synthesis, Pareto, and the Nash and dominance kernels, which read it cut
+into one tuple per player and strategy (``Game._slices``).  ``_total`` is the one exact profile total, a sum over
 the profile's own denominators: C1 reads it where the players' scales
 differ, and so do ``constant_sum``, completion's seed check and
 ``payoff_sum``.  ``_sum`` is the one exact sum of values gathered from
@@ -42,12 +42,13 @@ text through ``_text``.
 
 A game's payoffs are checked once, where the game enters: the public
 constructor coerces and checks every value (through ``_vector``, which
-``make_game`` and ``Seed`` share, so all three reject a string, a set, a
-dict or a single number given as a payoff vector alike), while the
-document parser, ``make_game`` and ``_add_separable``, which have already
-checked or exactly built their cells, hand ``Game`` its space and it takes
-their cells as given.  The public constructor, ``make_game`` and ``Seed`` each hand
-``_vector`` one memo per construction, so each distinct exact int or str
+``make_game`` and ``Seed`` share, so all three reject a string, a
+bytes-like buffer, a set, a dict or a single number given as a payoff
+vector alike), while the document parser, ``make_game`` and
+``_add_separable``, which have already checked or exactly built their
+cells, hand ``Game`` its space and it takes their cells as given.  The
+public constructor, ``make_game`` and ``Seed`` each hand ``_vector`` one
+memo per construction, so each distinct exact int or str
 is coerced once and equal ones share its ``Fraction``.  The memo is keyed
 as ``cli._read_payoffs`` keys its own: only values of exact type int or
 str are keys, never a bool, float, subclass or ``Fraction``, which may
@@ -133,41 +134,33 @@ def _fraction(n: int, d: int, g: int = 0) -> Fraction:
     return value
 
 
-def _lcm(values: list[int], lo: int, hi: int, room: float) -> int | None:
-    """The lcm of ``values[lo:hi]`` as a balanced tree, built depth first by
-    halving, or None as soon as one partial lcm takes more than ``room``
-    bits.  Both sides of each lcm stay about equally long, and partial lcms
-    grow as early as a running lcm's would."""
-    lcm = values[lo]
-    if hi - lo > 1:
-        mid = (lo + hi) // 2
-        # None, once returned, passes up the tree
-        left = _lcm(values, lo, mid, room)
-        right = left and _lcm(values, mid, hi, room)
-        lcm = right and math.lcm(left, right)
-    return lcm if lcm and lcm.bit_length() <= room else None
-
-
 def _scales(cells: Sequence[PayoffVector], bits: int | None = None) -> tuple[int, ...] | None:
     """Each player's scale: the lcm of that player's payoff denominators in
-    ``cells``, one payoff vector per profile, built as ``_lcm``'s tree.
+    ``cells``, one payoff vector per profile.  Each player's distinct
+    denominators are reduced as a balanced tree, one level at a time: each
+    level takes the lcm of each pair of the one below, and an odd one out
+    moves up as it is.  Both sides of each lcm stay about equally long.
 
-    Given ``bits``, returns None as soon as one partial lcm, plus the
-    earlier players' scales, takes more than ``bits`` bits.  A partial lcm
-    divides its player's scale, so that is exactly when the scales take
-    more than ``bits`` bits together.
+    Given ``bits``, returns None once a level holds a partial lcm that
+    takes more than ``bits`` bits, less the bits of the earlier players'
+    scales.  A partial lcm divides its player's scale, so that is exactly
+    when the scales take more than ``bits`` bits together.  The check reads
+    a whole level, built before it looks: the lcms already built past the
+    room are those of that one level, not of one subtree.
     """
     scales = []
     room = math.inf if bits is None else bits
     # player by player through the cells: a transpose here would repeat the
     # one that Game._scaled makes for its columns
     for k in range(len(cells[0])):
-        values = list({cell[k]._denominator for cell in cells})
-        scale = _lcm(values, 0, len(values), room)
-        if scale is None:
+        level = list({cell[k]._denominator for cell in cells})
+        while len(level) > 1 and max(level).bit_length() <= room:
+            level = [*map(math.lcm, level[::2], level[1::2]), *level[len(level) // 2 * 2 :]]
+        # one lcm is left, or the level is past the room
+        room -= max(level).bit_length()
+        if room < 0:
             return None
-        room -= scale.bit_length()
-        scales.append(scale)
+        scales.append(level[0])
     return tuple(scales)
 
 
@@ -219,10 +212,11 @@ def as_rational(value: RationalLike) -> Fraction:
 
 def _vector(cell: Iterable[RationalLike], memo: dict) -> PayoffVector:
     """A payoff vector with each value coerced by ``as_rational``.  A string
-    iterates, but digit by digit, and a set or a dict in hash or key order,
-    so none of them is a vector any more than a single number is; all raise
-    ``TypeError``.  An exact tuple, the cell most callers pass, skips the
-    wider type test.
+    iterates, but digit by digit, a bytes-like buffer (``bytes``,
+    ``bytearray``, ``memoryview``) byte by byte, and a set or a dict in hash
+    or key order, so none of them is a vector any more than a single number
+    is; all raise ``TypeError``.  An exact tuple, the cell most callers
+    pass, skips the wider type test.
 
     ``memo`` is one construction's: each distinct exact int or str is
     coerced once and its ``Fraction`` reused, keyed by the value itself, as
@@ -230,7 +224,9 @@ def _vector(cell: Iterable[RationalLike], memo: dict) -> PayoffVector:
     ``True``, ``1.0`` and ``Fraction(1)`` equal ``1`` and hash alike, and a
     value that fails to coerce raises before it is stored.
     """
-    if type(cell) is not tuple and isinstance(cell, (str, bytes, set, frozenset, dict)):
+    if type(cell) is not tuple and isinstance(
+        cell, (str, bytes, bytearray, memoryview, set, frozenset, dict)
+    ):
         raise TypeError(f"not a payoff vector: {cell!r}")
     try:
         values = iter(cell)

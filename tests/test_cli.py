@@ -1262,6 +1262,13 @@ LOCATED_FAULTS = {
         "--base",
         "profile (C,C,C) has 3 entries for 2 players",
     ),
+    "margin-not-rational": (
+        ["dominate", "m0.json", "--profile", "C,C", "--margin", "x"],
+        {},
+        "command line",
+        "--margin",
+        "not a rational value: 'x'",
+    ),
 }
 
 

@@ -143,7 +143,19 @@ def test_subclassed_values_enter_as_plain_fractions():
     assert seed_values == {Fraction}
 
 
-@pytest.mark.parametrize("cell", ["12", 12, Fraction(3, 2), b"12"], ids=repr)
+# a memoryview's repr holds its address, so its id is written out
+@pytest.mark.parametrize(
+    "cell",
+    [
+        "12",
+        12,
+        Fraction(3, 2),
+        b"12",
+        bytearray(b"12"),
+        pytest.param(memoryview(b"12"), id="memoryview(b'12')"),
+    ],
+    ids=repr,
+)
 def test_builders_reject_a_string_or_a_number_as_the_constructor_does(cell):
     players, strategies = ("I", "II"), (("a", "b"), ("c",))
     cells = ((1, 2), cell)
