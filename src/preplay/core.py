@@ -113,10 +113,11 @@ PayoffVector = tuple[Fraction, ...]
 
 
 # the rational grammar: an optional sign, ASCII digits, and an optional
-# "/denominator" or ".fraction" part.  Fraction alone also takes exponents
-# ("1e10000000" takes seconds), "_", surrounding whitespace and non-ASCII
-# digits.
-_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
+# "/denominator" or ".fraction" part, where the denominator holds a nonzero
+# digit (``_fraction`` takes d > 0: gcd(n, 0) would make n/0 read as 1 or
+# -1).  Fraction alone also takes exponents ("1e10000000" takes seconds),
+# "_", surrounding whitespace and non-ASCII digits.
+_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/(0*[1-9][0-9]*)|\.([0-9]+))?")
 
 
 def _fraction(n: int, d: int, g: int = 0) -> Fraction:
@@ -172,9 +173,11 @@ def as_rational(value: RationalLike) -> Fraction:
     Strings may be integers ("3"), ratios ("3/4"), or decimals ("0.25"),
     each with an optional sign and ASCII digits only; decimals are read
     exactly, not via binary floating point.  A string is matched once, and
-    its digit groups are read with ``int()`` as ``Fraction(str)`` would read
-    them.  Floats are rejected outright — they would silently smuggle
-    rounding error into a model whose whole point is exactness.
+    each of its digit groups is read with ``int()``, as ``Fraction(str)``
+    would read it, before any arithmetic on it, so a group past the
+    int-to-str digit limit is refused before any power of ten is built.
+    Floats are rejected outright — they would silently smuggle rounding
+    error into a model whose whole point is exactness.
     """
     # exact types first: for any other value, isinstance(value, Fraction) is a slow ABC check
     if type(value) is Fraction:
@@ -186,22 +189,18 @@ def as_rational(value: RationalLike) -> Fraction:
         if match is None:
             raise ValueError(f"not a rational value: {value!r}")
         sign, whole, denominator, decimals = match.groups()
+        # each digit group is read alone, as Fraction(str) reads it, so the
+        # int-to-str digit limit applies per group; it is the one ValueError
         try:
-            if denominator is None and decimals is None:
-                return _fraction(int(value), 1)
-            # each digit group is read alone, as Fraction(str) reads it, so
-            # the int-to-str digit limit applies per group
             numerator = int(whole)
             if decimals is None:
-                denominator = int(denominator)
+                denominator = int(denominator or 1)
             else:
+                digits = int(decimals)
                 denominator = 10 ** len(decimals)
-                numerator = numerator * denominator + int(decimals)
+                numerator = numerator * denominator + digits
         except ValueError as exc:
             raise ValueError(f"not a rational value: {value!r}") from exc
-        # _fraction takes d > 0: gcd(n, 0) would make n/0 read as 1 or -1
-        if denominator == 0:
-            raise ValueError(f"not a rational value: {value!r}")
         return _fraction(-numerator if sign == "-" else numerator, denominator)
     # a subclass of int or Fraction, read as the plain number it holds; bool
     # is an int subclass too, but True is not a payoff

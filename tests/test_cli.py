@@ -643,6 +643,27 @@ def test_hostile_denominators_exit_2_within_deadline(files, capsys):
             assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no int-to-str digit limit")
+def test_a_long_decimal_exits_2_within_deadline(files, capsys):
+    # 10^7 digits after the point: past the int-to-str digit limit, so the
+    # digits are refused as read, before 10**(10**7) would be built
+    long = "0." + "1" * 10**7
+    game = files("long.json", M0_DOC.replace('["5", "0"]', f'["{long}", "0"]'))
+    m0 = files("m0.json", M0_DOC)
+    offers = files("offers.json", offers_doc(long))
+    for argv, where in (
+        (["analyze", game], "long.json: payoffs"),
+        (["apply", m0, offers], "offers.json: offers[0].amount"),
+        (["dominate", m0, "--profile", "C,C", "--margin", long], "--margin"),
+    ):
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert where in err and "not a rational" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def padded_game_doc(player_count: int) -> str:
     """A game document of ``player_count`` single-strategy players."""
     payoffs = ["0"] * player_count

@@ -94,6 +94,7 @@ def random_rational_text(rng):
 
 def test_as_rational_matches_fraction_on_valid_strings():
     fixed = ["-0", "+0", "0.000", "-0.000", "+3/4", "-3/4", "007", "-007.0700", "+0/5", "10/4"]
+    fixed += ["1/007", "-3/0010", "+0/01"]
     rng = random.Random(43)
     texts = fixed + [random_rational_text(rng) for _ in range(500)]
     assert any(len(t) > 300 for t in texts) and any(t.startswith("-0") for t in texts)
@@ -107,6 +108,7 @@ def test_as_rational_rejects_with_the_same_text():
     limit = sys.get_int_max_str_digits()
     long_run = "7" * (limit + 1)
     texts = ["1/0", "1/00", "-0/0", "1.", ".5", "1e3", "\u0663", "", "+", "1/2/3", "1.5/2"]
+    texts += ["1/000", "+5/00"]
     if limit:
         texts += [long_run, "-" + long_run, "1/" + long_run, "0." + long_run, long_run + ".5"]
     for text in texts:
