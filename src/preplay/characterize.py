@@ -23,7 +23,10 @@ has one scale; where the scales differ, it compares the two games' profile
 totals, each summed exactly over the profile's own denominators by
 ``core._total``.  C2 compares every block against the coordinate star of
 (0,…,0), and the private ``_check`` returns that star with its verdict, so
-synthesis reads the amounts off the star the check verified.
+synthesis reads the amounts off the star the check verified.  The target
+remembers its last check, keyed by the source's payoffs tuple, so
+``check_equivalence`` and ``synthesize_offers`` on one pair, in either
+order, make one C1/C2 pass between them.
 ``diff_tensor`` stays the public ``Fraction`` tensor; neither builds it.
 
 A failed check carries a ``Violation`` that names the exact profiles whose
@@ -145,9 +148,25 @@ def _check(
     to v, times ``scales[j]``; it sits at flat index ``v * stride_k``.  A
     reachable tensor is determined by these values.  Both games must share
     players, strategy names, and shape.
+
+    The target remembers its last result, keyed by the source's payoffs
+    tuple, so synthesis after a check on the same pair (or a check after
+    synthesis) reads the result instead of scanning again.  The key is the
+    tuple itself, compared by identity: it keeps no source game alive, and
+    an equal but distinct source is scanned afresh rather than compared
+    value by value.  The frames are compared first, so a mismatched source
+    raises whatever the target remembers.
     """
+    source.space._require(target.space)
+    checked = target.__dict__.get("_checked", (None,))
+    if checked[0] is not source.payoffs:
+        checked = target.__dict__["_checked"] = (source.payoffs, _scan(source, target))
+    return checked[1]
+
+
+def _scan(source: Game, target: Game):
+    """``_check``'s C1/C2 pass over two games whose frames match."""
     space = source.space
-    space._require(target.space)
     shape = space.shape
     counts, strides, size = shape.strategy_counts, shape.strides, shape.size
     s_scales, s_columns = source._scaled

@@ -159,12 +159,16 @@ def _rational(node) -> Fraction:
     """A rational as JSON gives it: an int or a string, never a bool or float.
 
     Raises ``ValueError`` with the message a ``ParseError`` shows; the caller,
-    which knows where the value sits, reports it through ``_located``."""
+    which knows where the value sits, reports it through ``_located``.  A
+    string with a digit group past the int-to-str limit keeps
+    ``as_rational``'s message, which names it by its length."""
     if type(node) is not int and type(node) is not str:
         raise ValueError(f"expected an integer or a rational string, got {json.dumps(node)}")
     try:
         return as_rational(node)
-    except ValueError:
+    except ValueError as exc:
+        if exc.__cause__ is not None:
+            raise  # the limit's error, chained: the string is too long to echo
         raise ValueError(f"not a rational: {json.dumps(node)}") from None
 
 

@@ -175,7 +175,8 @@ def as_rational(value: RationalLike) -> Fraction:
     exactly, not via binary floating point.  A string is matched once, and
     each of its digit groups is read with ``int()``, as ``Fraction(str)``
     would read it, before any arithmetic on it, so a group past the
-    int-to-str digit limit is refused before any power of ten is built.
+    int-to-str digit limit is refused before any power of ten is built, and
+    the message names such a string by its length instead of echoing it.
     Floats are rejected outright — they would silently smuggle rounding
     error into a model whose whole point is exactness.
     """
@@ -190,7 +191,8 @@ def as_rational(value: RationalLike) -> Fraction:
             raise ValueError(f"not a rational value: {value!r}")
         sign, whole, denominator, decimals = match.groups()
         # each digit group is read alone, as Fraction(str) reads it, so the
-        # int-to-str digit limit applies per group; it is the one ValueError
+        # int-to-str digit limit applies per group; it is the one ValueError,
+        # and the string it refuses is named by its length, not echoed
         try:
             numerator = int(whole)
             if decimals is None:
@@ -200,7 +202,10 @@ def as_rational(value: RationalLike) -> Fraction:
                 denominator = 10 ** len(decimals)
                 numerator = numerator * denominator + digits
         except ValueError as exc:
-            raise ValueError(f"not a rational value: {value!r}") from exc
+            raise ValueError(
+                f"not a rational value: a string of {len(value)} characters with a digit "
+                "group past the int-to-str limit"
+            ) from exc
         return _fraction(-numerator if sign == "-" else numerator, denominator)
     # a subclass of int or Fraction, read as the plain number it holds; bool
     # is an int subclass too, but True is not a payoff
@@ -489,6 +494,13 @@ class Game(_Record):
     one ``Fraction``.  The package's own builders hand over the frame's
     space (``_space``) with cells they have already checked or built
     exactly, and those are taken as given.
+
+    Views read off the payoffs are cached on the instance, outside its
+    fields, the first time a kernel asks: ``_scaled``, the ints per
+    player, ``_slices``, the per-strategy tables cut from them, and
+    ``_checked``, the last reachability check with this game as target
+    (``characterize._check``).  None of them takes part in ``==``,
+    ``hash`` or ``repr``.
     """
 
     players: tuple[str, ...]

@@ -80,9 +80,13 @@ def synthesize_offers(source: Game, target: Game) -> SynthesisResult:
     payer's own difference along axis 0.
     The amounts go straight into the net table e[payer, payee, strategy].
 
-    The check hands over the star it verified, on the integer difference
-    view built from the games' ``Game._scaled``: each amount is one int
-    subtraction of star entries, and only the amounts become ``Fraction``s.
+    The star is the one the check verified, on the integer difference view
+    built from the games' ``Game._scaled``, and the target remembers it with
+    its verdict (``characterize._check``): synthesis after
+    ``check_equivalence`` on the same pair reads them without a second
+    scan, and an unreachable target raises the verdict already found.  Each
+    amount is one int subtraction of star entries, and only the amounts
+    become ``Fraction``s.
     A player's balance along axis 0, what it receives less what it pays
     besides e[p, 0, ·], is one ``core._sum``, and so is each e[p, 0, t]:
     that balance less one star entry over the player's scale.

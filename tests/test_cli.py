@@ -662,6 +662,8 @@ def test_a_long_decimal_exits_2_within_deadline(files, capsys):
         err = capsys.readouterr().err
         assert where in err and "not a rational" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+        # the string is named by its length, not echoed
+        assert len(err) < 200 and f"a string of {len(long)} characters" in err
 
 
 def padded_game_doc(player_count: int) -> str:
